@@ -1,23 +1,34 @@
-"""A configured NCS connection: engines, data-transfer threads, primitives.
+"""A configured NCS connection: the live driver of a ``ConnectionCore``.
 
-One ``Connection`` object lives at each end.  In the default *threaded*
-mode it owns three threads, mirroring the paper's data plane:
+Everything a connection *decides* lives in
+:class:`~repro.core.conncore.ConnectionCore` (sans-I/O: segmentation,
+error control, flow control, pressure accounting, handle bookkeeping).
+A ``Connection`` only moves bytes and time for it, and the three data
+planes differ in exactly three choices, made once in ``__init__``:
 
-* the **protocol thread** hosts the sender-side Error Control and Flow
-  Control engines (the paper's EC/FC threads for this connection),
-  driven by an event channel carrying send requests, control PDUs and
-  timer ticks;
-* the **Send Thread** drains the flow-controlled transmit queue onto the
-  data connection (Table I's context-switch boundary sits between
-  ``NCS_send`` and this thread);
-* the **Receive Thread** pulls frames off the data connection and runs
-  the receiver-side FC/EC engines, emitting credits and ACK bitmaps onto
-  the *control* connection and completed messages into the receive
-  queue.  On the user-level thread package it polls ``try_recv`` and
-  yields, never blocking the process (§4.1).
+=========  ======================  ======================  ==================
+plane      (a) sender half runs    (b) released SDUs go    (c) receiver pump
+=========  ======================  ======================  ==================
+threaded   protocol thread, fed    ``_send_chan`` -> Send  Receive Thread
+           by ``_proto_chan``      Thread -> ``send_many``
+bypass     caller, inline (§4.2)   ``send_many``, inline   application thread
+                                                           inside ``recv``
+event      caller, inline          ``EventEndpoint.submit``  selector loop
+=========  ======================  ======================  ==================
 
-In *bypass* mode (§4.2's procedure variant) no per-connection threads
-exist: the same engines run inline inside ``send``/``recv``.
+The threaded plane mirrors the paper's data plane: the **protocol
+thread** hosts the sender-side Error Control and Flow Control engines,
+the **Send Thread** drains the flow-controlled transmit queue (Table I's
+context-switch boundary sits between ``NCS_send`` and this thread), and
+the **Receive Thread** pulls frames off the data connection — polling
+``recv_many`` and yielding on the user-level package, never blocking the
+process (§4.1).  In every plane the sender half runs under
+``_engine_lock`` and the receiver half under ``_rx_lock``; the node
+timer reads the single ``next_deadline`` slot and ticks both halves.
+
+Attributes the core owns (``ec_sender`` … ``fc_receiver``,
+``messages_received``, ``credit_gate_closed``, ``peer_gone``,
+``trace_of`` …) read through the connection unchanged.
 """
 
 from __future__ import annotations
@@ -25,15 +36,13 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from functools import partial
 from typing import Optional
 
-from collections import deque
-
 from repro.core.config import ConnectionConfig
+from repro.core.conncore import ConnectionCore
 from repro.core.errors import ConnectionClosedError, NCSOverloaded, NCSTimeout
-from repro.core.handles import SendHandle, SendStatus
-from repro.errorcontrol import make_error_control
-from repro.flowcontrol import make_flow_control
+from repro.core.handles import SendHandle
 from repro.obs.xray import XRAY_SPAN_MARK
 from repro.interfaces.base import (
     CommInterface,
@@ -41,19 +50,20 @@ from repro.interfaces.base import (
     FaultyInterface,
     InterfaceClosed,
 )
-from repro.protocol.effects import Effects
-from repro.protocol.headers import HeaderError, Sdu
-from repro.protocol.pdus import (
-    AckPdu,
-    ClosePdu,
-    ControlPdu,
-    CreditPdu,
-    CreditResyncPdu,
-    CumAckPdu,
-)
+from repro.protocol.pdus import ClosePdu, ControlPdu, CreditResyncPdu
 from repro.util.trace import new_trace_id
 
 _STOP = object()
+
+#: Most spans parked per X-ray table: orphans (e.g. the duplicate of an
+#: already-finished message) must not grow a table forever.
+_XRAY_TABLE_MAX = 1024
+
+
+def _park(table: dict, key, span: dict) -> None:
+    if len(table) >= _XRAY_TABLE_MAX:
+        table.pop(next(iter(table)))
+    table[key] = span
 
 
 class Connection:
@@ -74,6 +84,14 @@ class Connection:
         self.peer_link = peer_link
         self.config = config
         self._recorder = node.recorder
+        self.core = ConnectionCore(
+            conn_id,
+            config,
+            budget=node.pressure,
+            pressure_cfg=node.pressure_cfg,
+            recorder=node.recorder,
+            tracer=node.tracer,
+        )
         fault_plan = config.fault_plan
         if fault_plan is None:
             from repro.faults.plan import plan_from_env
@@ -112,8 +130,8 @@ class Connection:
         self._tracer = node.tracer
         #: Optional OverheadProfiler recording receive-path stage times.
         self.profiler = None
-        self._metrics = node.metrics
-        if self._metrics is not None:
+        self._h_send_size = self._h_recv_size = None
+        if node.metrics is not None:
             from repro.obs.registry import SIZE_BUCKETS
 
             labels = {
@@ -121,46 +139,18 @@ class Connection:
                 "conn": str(conn_id),
                 "peer": peer_name,
             }
-            self._h_send_size = self._metrics.histogram(
+            self._h_send_size = node.metrics.histogram(
                 "ncs_send_message_bytes", buckets=SIZE_BUCKETS, **labels
             )
-            self._h_recv_size = self._metrics.histogram(
+            self._h_recv_size = node.metrics.histogram(
                 "ncs_recv_message_bytes", buckets=SIZE_BUCKETS, **labels
             )
-        else:
-            self._h_send_size = None
-            self._h_recv_size = None
-
-        ec_options = {
-            "retransmit_timeout": config.retransmit_timeout,
-            "max_retries": config.max_retries,
-        }
-        if config.error_control == "go_back_n":
-            ec_options["window"] = config.gbn_window
-        self.ec_sender, self.ec_receiver = make_error_control(
-            config.error_control, conn_id, config.sdu_size, **ec_options
-        )
-        fc_options = {}
-        if config.flow_control == "credit":
-            fc_options = {
-                "initial_credits": config.initial_credits,
-                "max_credits": config.max_credits,
-            }
-            if config.fc_resync_timeout is not None:
-                fc_options["resync_timeout"] = config.fc_resync_timeout
-        elif config.flow_control == "window":
-            fc_options = {"window_size": config.window_size}
-        elif config.flow_control == "rate":
-            fc_options = {"rate_pps": config.rate_pps, "burst": config.rate_burst}
-        self.fc_sender, self.fc_receiver = make_flow_control(
-            config.flow_control, conn_id, **fc_options
-        )
 
         # Latency X-ray (repro.obs.xray).  When the node-level recorder
         # is absent, every hot path below pays exactly one `is not None`
         # branch; when sampling is on, unsampled messages pay one counter
         # increment and one modulo — no allocation either way.
-        self._xray = getattr(node, "xray", None)
+        self._xray = node.xray
         self._xray_ids = itertools.count(1)
         #: msg_id -> stamp dict for sampled in-flight sends.  Always a
         #: dict (guards check truthiness, which is falsy when idle).
@@ -171,38 +161,24 @@ class Connection:
         self._xray_delivery: dict = {}
 
         self._msg_ids = itertools.count(1)
-        self._handles: dict[int, SendHandle] = {}
-        self._handles_lock = threading.Lock()
-        #: msg_id -> trace_id for in-flight traced sends; entries live
-        #: exactly as long as the send handle (cleared on completion).
-        self._trace_ids: dict[int, int] = {}
         self.recv_queue = self._pkg.channel()
         self._closed = False
-        self._peer_closed = False
+        #: The one slot the node timer reads: when this connection next
+        #: needs ``on_timer_tick`` (None = no timer armed).
+        self.next_deadline: Optional[float] = None
+        self._deadline_lock = threading.Lock()
+        #: Serialize the core's sender / receiver half (see module doc).
+        self._engine_lock = threading.Lock()
+        self._rx_lock = threading.Lock()
 
-        #: Next deadline at which the sender EC needs a timer callback.
-        self._ec_timer_at: Optional[float] = None
-        #: Next time rate-based flow control can release more packets.
-        self._fc_ready_at: Optional[float] = None
-        #: Receiver-side GC deadline (unreliable connections).
-        self._recv_gc_at: Optional[float] = None
-
-        # Statistics.  The hot counters are read-modify-write from
-        # several threads at once (any number of app threads in send(),
-        # the receive thread, the watchdog reading) — a dedicated lock
-        # keeps increments from losing updates under contention.
+        # Sender-side counters are read-modify-write from any number of
+        # application threads in send(); a dedicated lock keeps
+        # increments from losing updates under contention.
         self._stats_lock = threading.Lock()
         self.messages_sent = 0
-        self.messages_received = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
-        self.frames_malformed = 0
-        #: Sends the error control engine confirmed delivered.
-        self.messages_completed = 0
-        #: Per-SDU acknowledgment PDUs superseded within one receive
-        #: batch (a later ACK for the same message already carried the
-        #: final bitmap) and therefore never sent.
-        self.acks_deduped = 0
+        self.admission_rejections = 0
+        self.admission_waits = 0
 
         # Blocked-receiver bookkeeping for the health watchdog: each
         # parked recv() registers its own start time so the "oldest
@@ -211,55 +187,47 @@ class Connection:
         self._waiter_tokens = itertools.count(1)
         self._recv_wait_starts: dict[int, float] = {}
 
-        # Overload protection: every payload byte this connection
-        # buffers is charged to the node's MemoryBudget (None when the
-        # subsystem is disabled).  Control PDUs are never charged.
-        self._budget = getattr(node, "pressure", None)
-        pressure_cfg = getattr(node, "pressure_cfg", None)
+        # Overload protection: NCS_send admission is the one blocking
+        # piece of pressure accounting, so it stays with the driver.
+        self._budget = node.pressure
         self._admission = config.admission or (
-            pressure_cfg.policy if pressure_cfg is not None else "block"
+            node.pressure_cfg.policy if node.pressure_cfg is not None else "block"
         )
-        self._delivery_quota = (
-            pressure_cfg.delivery_quota_bytes if pressure_cfg is not None else 0
-        )
-        self._resume_below = int(
-            self._delivery_quota
-            * (pressure_cfg.resume_fraction if pressure_cfg is not None else 0.5)
-        )
-        self._pressure_lock = threading.Lock()
-        #: FIFO of (enqueue_ts, nbytes) mirroring recv_queue, for
-        #: shed-oldest victim selection and delivery-site release.
-        self._delivery_log: deque = deque()
-        self._credit_gate_closed = False
-        self._withheld_credits = 0
-        self.admission_rejections = 0
-        self.admission_waits = 0
-        self.deliveries_shed = 0
-        self.credits_withheld = 0
-        self.credit_pdus_withheld = 0
-        self.slow_consumer_trips = 0
-        self.resync_requests_answered = 0
 
-        self._event_endpoint = None
+        # The driver, chosen once.
+        self._proto_chan = self._send_chan = self._event_endpoint = None
+        self._threads = []
+        self._to_sender = self._run_sender
+        self._transmit = self._write
+        self._await_delivery = self._await_queue
         if config.mode == "threaded":
             self._proto_chan = self._pkg.channel()
             self._send_chan = self._pkg.channel()
+            self._to_sender = self._post
+            self._transmit = self._queue_for_send_thread
+            self._wire = self.interface.send_many
             self._threads = [
                 self._pkg.spawn(self._proto_loop, name=f"proto-{conn_id}"),
                 self._pkg.spawn(self._send_loop, name=f"send-{conn_id}"),
                 self._pkg.spawn(self._recv_loop, name=f"recv-{conn_id}"),
             ]
+        elif config.mode == "event":
+            # Hand each burst to the selector plane's endpoint (backlog
+            # append + loop wakeup) — never a blocking socket write from
+            # the calling thread; the loop calls event_rx.
+            self._event_endpoint = node.event_loop().attach(self)
+            self._wire = self._event_endpoint.submit
         else:
-            # Bypass/event: engines run inline; one lock serializes
-            # sender-side engine access across app thread / control
-            # reader / timer (and, in event mode, the selector loop).
-            self._engine_lock = threading.Lock()
-            self._recv_lock = threading.Lock()
-            self._proto_chan = None
-            self._send_chan = None
-            self._threads = []
-            if config.mode == "event":
-                self._event_endpoint = node.event_loop().attach(self)
+            self._wire = self.interface.send_many
+            self._pump_lock = threading.Lock()
+            self._await_delivery = self._await_pump
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes the connection itself lacks: the
+        # engines, counters and flags the core owns.
+        if name == "core":
+            raise AttributeError(name)
+        return getattr(self.core, name)
 
     # ------------------------------------------------------------------
     # Public primitives
@@ -279,14 +247,16 @@ class Connection:
         ``instrument`` (a dict) collects per-stage timestamps for the
         Table I overhead decomposition.
         """
-        if instrument is not None:
-            instrument["entry"] = time.perf_counter_ns()
         span = None
         if self._xray is not None and self._xray.sampled(next(self._xray_ids)):
-            span = {"entry": time.perf_counter_ns()}
+            span = {}
+        sinks = () if instrument is None else (instrument,)
+        timed = span is not None or instrument is not None
+        if timed:
+            self._stamp("entry", None, sinks, span)
         if self._closed:
             raise ConnectionClosedError(f"connection {self.conn_id} is closed")
-        if self._peer_closed:
+        if self.core.peer_gone:
             # The transport is gone (peer Close or interface death):
             # accepting more work would only grow queues that nothing
             # will ever drain.  The recovery layer replays pending sends
@@ -295,8 +265,8 @@ class Connection:
                 f"connection {self.conn_id}: peer is gone (closed or transport lost)"
             )
         self._admit_send(len(payload), timeout)
-        if span is not None:
-            span["admitted"] = time.perf_counter_ns()
+        if timed:
+            self._stamp("admitted", None, sinks, span)
         msg_id = next(self._msg_ids)
         handle = SendHandle(msg_id, len(payload))
         trace_id = 0
@@ -317,10 +287,6 @@ class Connection:
             span["_trace"] = trace_id
             span["_size"] = len(payload)
             self._xray_send_spans[msg_id] = span
-        with self._handles_lock:
-            self._handles[msg_id] = handle
-            if trace_id:
-                self._trace_ids[msg_id] = trace_id
         with self._stats_lock:
             self.messages_sent += 1
             self.bytes_sent += len(payload)
@@ -338,20 +304,11 @@ class Connection:
                 conn_id=self.conn_id, msg_id=msg_id, size=len(payload),
                 trace=trace_id,
             )
-        if self.config.mode == "threaded":
-            if instrument is not None:
-                # Stamp before the put: the protocol thread may dequeue
-                # the instant the request lands.
-                instrument["queued"] = time.perf_counter_ns()
-            if span is not None:
-                span["queued"] = time.perf_counter_ns()
-            self._proto_chan.put(
-                ("send", msg_id, payload, instrument, trace_id, span_mark)
-            )
-        else:
-            self._bypass_send(msg_id, payload, instrument, trace_id, span_mark)
-        if instrument is not None:
-            instrument["exit"] = time.perf_counter_ns()
+        self._to_sender(
+            ("send", handle, payload, trace_id, span_mark, sinks, span)
+        )
+        if sinks:
+            self._stamp("exit", None, sinks)
         if wait:
             if not handle.wait(timeout):
                 raise NCSTimeout(
@@ -360,37 +317,56 @@ class Connection:
         return handle
 
     def recv(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        """NCS_recv(): next complete message, or None on timeout."""
-        if self.config.mode == "bypass":
-            return self._bypass_recv(timeout)
+        """NCS_recv(): next complete message, or None on timeout.
+
+        Every pass looks at the queue before it looks at the deadline,
+        so ``timeout=0.0`` returns a message that is already there.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         token = self._enter_recv_wait()
         try:
             while True:
                 remaining = 0.05
                 if deadline is not None:
-                    remaining = min(remaining, deadline - time.monotonic())
-                    if remaining <= 0:
-                        return None
-                try:
-                    return self._delivery_popped(
-                        self.recv_queue.get(timeout=remaining)
+                    remaining = max(
+                        0.0, min(remaining, deadline - time.monotonic())
                     )
-                except TimeoutError:
-                    if self._closed or self._peer_closed:
-                        if self.recv_queue.empty():
-                            raise ConnectionClosedError(
-                                f"connection {self.conn_id} closed with no pending data"
-                            ) from None
+                ok, item = self._await_delivery(remaining)
+                if ok:
+                    return self._delivery_popped(item)
+                if (
+                    self._closed or self.core.peer_gone
+                ) and self.recv_queue.empty():
+                    raise ConnectionClosedError(
+                        f"connection {self.conn_id} closed with no pending data"
+                    )
+                if deadline is not None and remaining <= 0:
+                    return None
         finally:
             self._exit_recv_wait(token)
 
     def try_recv(self) -> Optional[bytes]:
         """Non-blocking NCS_recv variant."""
-        if self.config.mode == "bypass":
-            self._bypass_pump_once(blocking=False)
-        ok, item = self.recv_queue.try_get()
+        ok, item = self._await_delivery(0.0)
         return self._delivery_popped(item) if ok else None
+
+    def _await_queue(self, timeout: float) -> tuple:
+        """(c) threaded/event: someone else pumps; wait on the queue."""
+        if timeout <= 0:
+            return self.recv_queue.try_get()
+        try:
+            return True, self.recv_queue.get(timeout=timeout)
+        except TimeoutError:
+            return False, None
+
+    def _await_pump(self, timeout: float) -> tuple:
+        """(c) bypass: the application thread is the Receive Thread."""
+        ok, item = self.recv_queue.try_get()
+        if ok:
+            return ok, item
+        with self._pump_lock:
+            self._pump_once(timeout)
+        return self.recv_queue.try_get()
 
     def _enter_recv_wait(self) -> int:
         token = next(self._waiter_tokens)
@@ -403,7 +379,7 @@ class Connection:
             self._recv_wait_starts.pop(token, None)
 
     # ------------------------------------------------------------------
-    # Overload protection: admission, delivery accounting, credit gating
+    # Overload protection: blocking admission and delivery hand-back
     # ------------------------------------------------------------------
 
     def _admit_send(self, nbytes: int, timeout: Optional[float]) -> None:
@@ -415,39 +391,16 @@ class Connection:
         stalest queued deliveries node-wide until the reservation fits.
         """
         budget = self._budget
-        if budget is None:
-            return
-        if budget.try_reserve("send", self.conn_id, nbytes):
+        if budget is None or budget.try_reserve("send", self.conn_id, nbytes):
             return
         policy = self._admission
         if policy == "fail-fast":
-            budget.count_rejection()
-            with self._stats_lock:
-                self.admission_rejections += 1
-            self._recorder.record(
-                "pressure", "reject", conn=self.conn_id, size=nbytes
-            )
-            raise NCSOverloaded(
-                f"connection {self.conn_id}: send of {nbytes} bytes rejected, "
-                f"memory budget full",
-                site="send",
-                requested=nbytes,
-                used=budget.used(),
-                limit=budget.node_bytes,
-            )
+            raise self._overloaded(nbytes, "memory budget full")
         if policy == "shed-oldest":
             if self.node.shed_for(self, nbytes):
                 return
-            budget.count_rejection()
-            with self._stats_lock:
-                self.admission_rejections += 1
-            raise NCSOverloaded(
-                f"connection {self.conn_id}: send of {nbytes} bytes rejected, "
-                f"budget full and nothing left to shed",
-                site="send",
-                requested=nbytes,
-                used=budget.used(),
-                limit=budget.node_bytes,
+            raise self._overloaded(
+                nbytes, "budget full and nothing left to shed"
             )
         # block (default)
         with self._stats_lock:
@@ -455,13 +408,12 @@ class Connection:
         self._recorder.record(
             "pressure", "admission_wait", conn=self.conn_id, size=nbytes
         )
-        deadline = None if timeout is None else time.monotonic() + timeout
         outcome = budget.reserve_blocking(
             "send",
             self.conn_id,
             nbytes,
-            deadline=deadline,
-            should_abort=lambda: self._closed or self._peer_closed,
+            deadline=None if timeout is None else time.monotonic() + timeout,
+            should_abort=lambda: self._closed or self.core.peer_gone,
         )
         if outcome == "ok":
             return
@@ -474,128 +426,36 @@ class Connection:
             f"{timeout}s (budget full)"
         )
 
-    def _release_send_site(self, nbytes: int) -> None:
-        if self._budget is not None and nbytes > 0:
-            self._budget.release("send", self.conn_id, nbytes)
-
-    def _account_delivery_put(self, nbytes: int) -> None:
-        """Charge an inbound complete message parked for the application.
-
-        Forced, not admitted: the data was already acknowledged to the
-        peer, so refusing it would break exactly-once.  Crossing the
-        delivery quota instead closes the credit gate — pressure
-        propagates to the sender through withheld grants.
-        """
+    def _overloaded(self, nbytes: int, why: str) -> NCSOverloaded:
         budget = self._budget
-        if budget is None:
-            return
-        budget.force_reserve("delivery", self.conn_id, nbytes)
-        with self._pressure_lock:
-            self._delivery_log.append((self._clock.now(), nbytes))
-            if (
-                not self._credit_gate_closed
-                and self._delivery_quota > 0
-                and budget.site_used("delivery", self.conn_id)
-                > self._delivery_quota
-            ):
-                self._credit_gate_closed = True
-                self.slow_consumer_trips += 1
-                self._recorder.record(
-                    "pressure", "slow_consumer",
-                    conn=self.conn_id,
-                    queued=budget.site_used("delivery", self.conn_id),
-                    quota=self._delivery_quota,
-                )
+        budget.count_rejection()
+        with self._stats_lock:
+            self.admission_rejections += 1
+        self._recorder.record(
+            "pressure", "reject", conn=self.conn_id, size=nbytes
+        )
+        return NCSOverloaded(
+            f"connection {self.conn_id}: send of {nbytes} bytes rejected, {why}",
+            site="send",
+            requested=nbytes,
+            used=budget.used(),
+            limit=budget.node_bytes,
+        )
 
     def _delivery_popped(self, message):
-        """Release delivery-site bytes after the application consumed one."""
-        if message is not None and self._xray_delivery:
+        """The application consumed ``message``: close its X-ray span and
+        release its delivery-site bytes (which may reopen the credit
+        gate and flush the withheld grants)."""
+        if self._xray_delivery:
             span = self._xray_delivery.pop(id(message), None)
             if span is not None and self._xray is not None:
                 span["popped"] = time.perf_counter_ns()
                 span["_size"] = len(message)
                 self._xray.record_recv(self.conn_id, self.peer_name, span)
-        budget = self._budget
-        if budget is None or message is None:
-            return message
-        budget.release("delivery", self.conn_id, len(message))
-        flush = 0
-        with self._pressure_lock:
-            if self._delivery_log:
-                self._delivery_log.popleft()
-            if (
-                self._credit_gate_closed
-                and budget.site_used("delivery", self.conn_id)
-                <= self._resume_below
-            ):
-                self._credit_gate_closed = False
-                flush, self._withheld_credits = self._withheld_credits, 0
-        if flush:
-            # Flush the withheld grants as one coalesced CreditPdu on the
-            # priority lane so the sender resumes promptly.
-            self._recorder.record(
-                "pressure", "credit_gate_open",
-                conn=self.conn_id, credits=flush,
-            )
-            try:
-                self.node.control_send(
-                    self.peer_link, CreditPdu(self.conn_id, flush)
-                )
-            except Exception:
-                pass  # peer gone; recovery handles it
+        if self._budget is not None:
+            with self._rx_lock:
+                self._send_controls(self.core.on_consumed(len(message)).controls)
         return message
-
-    def _gate_credit(self, pdu) -> bool:
-        """Withhold a credit grant while this end is a slow consumer.
-
-        Returns True when the PDU was absorbed (not sent).  Only
-        CreditPdus are ever gated — ACKs and other control traffic
-        always pass (the priority lane).
-        """
-        if self._budget is None or not isinstance(pdu, CreditPdu):
-            return False
-        with self._pressure_lock:
-            if not self._credit_gate_closed:
-                return False
-            self._withheld_credits += pdu.credits
-            self.credits_withheld += pdu.credits
-            self.credit_pdus_withheld += 1
-            return True
-
-    def _answer_credit_resync(self) -> None:
-        """Answer a peer's CreditResyncPdu (receiver side).
-
-        Open gate: grant the initial allotment — the peer's pool is at
-        zero, so this is the request/reply equivalent of the old
-        unilateral restore.  Closed gate: the grant is withheld like any
-        other (flushed when the application drains), and an explicit
-        zero-credit reply keeps the peer pinned — it would otherwise
-        fall back to restoring the pool itself and defeat backpressure.
-        """
-        self.resync_requests_answered += 1
-        grant = CreditPdu(self.conn_id, self.config.initial_credits)
-        if self._gate_credit(grant):
-            self._recorder.record(
-                "pressure", "resync_pinned", conn=self.conn_id
-            )
-            reply = CreditPdu(self.conn_id, 0)
-        else:
-            self._recorder.record(
-                "flow", "resync_grant",
-                conn=self.conn_id, credits=grant.credits,
-            )
-            reply = grant
-        try:
-            self.node.control_send(self.peer_link, reply)
-        except Exception:
-            pass  # peer gone; recovery handles it
-
-    def _sync_reassembly_site(self) -> None:
-        if self._budget is None:
-            return
-        buffered = getattr(self.ec_receiver, "buffered_bytes", None)
-        if callable(buffered):
-            self._budget.set_level("reassembly", self.conn_id, buffered())
 
     def shed_oldest_delivery(self) -> int:
         """Evict the oldest queued delivery; returns bytes freed (0 if none).
@@ -608,44 +468,28 @@ class Connection:
         """
         ok, message = self.recv_queue.try_get()
         if not ok:
-            with self._pressure_lock:
-                self._delivery_log.clear()
             return 0
-        nbytes = len(message)
-        if self._budget is not None:
-            self._budget.release("delivery", self.conn_id, nbytes)
-            self._budget.record_shed(nbytes)
-        with self._pressure_lock:
-            if self._delivery_log:
-                self._delivery_log.popleft()
-        with self._stats_lock:
-            self.deliveries_shed += 1
-        self._recorder.record(
-            "pressure", "shed", conn=self.conn_id, size=nbytes
-        )
-        return nbytes
+        with self._rx_lock:
+            self._send_controls(
+                self.core.on_consumed(len(message), shed=True).controls
+            )
+        return len(message)
 
     def oldest_delivery_ts(self) -> Optional[float]:
         """Enqueue time of the stalest queued delivery (None when empty)."""
-        with self._pressure_lock:
-            return self._delivery_log[0][0] if self._delivery_log else None
-
-    @property
-    def credit_gate_closed(self) -> bool:
-        return self._credit_gate_closed
+        if self.recv_queue.empty():
+            return None
+        with self._rx_lock:
+            return self.core.oldest_delivery_ts()
 
     def pending_sends(self) -> list:
         """Unacknowledged in-flight messages as ``(msg_id, payload)``.
 
         Reconstructed from the error-control window state; the recovery
         layer replays these over a fresh incarnation after a reconnect.
-        Best taken once the connection is quiescent or dead (the engines
-        run on the protocol thread in threaded mode).
         """
-        if self.config.mode != "threaded":
-            with self._engine_lock:
-                return self.ec_sender.pending()
-        return self.ec_sender.pending()
+        with self._engine_lock:
+            return self.core.ec_sender.pending()
 
     def held_deliveries(self) -> list:
         """Reassembled-but-held inbound messages (reorder buffer).
@@ -654,15 +498,8 @@ class Connection:
         retransmit them; a dying connection must surrender them to the
         application instead of discarding them with the engine.
         """
-        if self.config.mode != "threaded":
-            with self._engine_lock:
-                return self.ec_receiver.held_deliveries()
-        return self.ec_receiver.held_deliveries()
-
-    @property
-    def peer_gone(self) -> bool:
-        """The peer sent a Close (or its interface vanished)."""
-        return self._peer_closed
+        with self._rx_lock:
+            return self.core.ec_receiver.held_deliveries()
 
     @property
     def recv_waiters(self) -> int:
@@ -704,16 +541,13 @@ class Connection:
         """Tear the connection down and stop its threads."""
         if self._closed:
             return
-        self._closed = True
+        self._closed = self.core.closed = True
         self._recorder.record(
             "state", "close", conn=self.conn_id, peer=self.peer_name,
-            sent=self.messages_sent, received=self.messages_received,
+            sent=self.messages_sent, received=self.core.messages_received,
         )
-        if notify_peer and not self._peer_closed:
-            try:
-                self.node.control_send(self.peer_link, ClosePdu(self.conn_id))
-            except Exception:
-                pass  # best effort: peer may already be gone
+        if notify_peer and not self.core.peer_gone:
+            self._send_controls([ClosePdu(self.conn_id)])
         if self._proto_chan is not None:
             self._proto_chan.put((_STOP,))
             self._send_chan.put(_STOP)
@@ -736,25 +570,26 @@ class Connection:
 
     def stats(self) -> dict:
         """Counters from the connection and its engines."""
+        core = self.core
         stats = {
             "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "frames_malformed": self.frames_malformed,
-            "acks_deduped": self.acks_deduped,
-            "fc_queued": self.fc_sender.queued(),
+            "messages_received": core.messages_received,
+            "frames_malformed": core.frames_malformed,
+            "acks_deduped": core.acks_deduped,
+            "fc_queued": core.fc_sender.queued(),
             "admission_rejections": self.admission_rejections,
             "admission_waits": self.admission_waits,
-            "deliveries_shed": self.deliveries_shed,
-            "credits_withheld": self.credits_withheld,
-            "slow_consumer_trips": self.slow_consumer_trips,
+            "deliveries_shed": core.deliveries_shed,
+            "credits_withheld": core.credits_withheld,
+            "slow_consumer_trips": core.slow_consumer_trips,
         }
         for attr in ("retransmitted_sdus", "full_retransmits"):
-            if hasattr(self.ec_sender, attr):
-                stats[attr] = getattr(self.ec_sender, attr)
+            if hasattr(core.ec_sender, attr):
+                stats[attr] = getattr(core.ec_sender, attr)
         for attr in ("acks_sent", "corrupted_count", "duplicate_count",
                      "dropped_messages", "discarded_out_of_order"):
-            if hasattr(self.ec_receiver, attr):
-                stats[attr] = getattr(self.ec_receiver, attr)
+            if hasattr(core.ec_receiver, attr):
+                stats[attr] = getattr(core.ec_receiver, attr)
         injector = getattr(self.interface, "injector", None)
         if injector is not None:
             stats["injected_drops"] = injector.dropped
@@ -770,29 +605,13 @@ class Connection:
         """
         totals = {
             "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
             "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "frames_malformed": self.frames_malformed,
-            "acks_deduped": self.acks_deduped,
             "pressure_admission_rejections": self.admission_rejections,
             "pressure_admission_waits": self.admission_waits,
-            "pressure_deliveries_shed": self.deliveries_shed,
-            "pressure_credits_withheld": self.credits_withheld,
-            "pressure_credit_pdus_withheld": self.credit_pdus_withheld,
-            "pressure_slow_consumer_trips": self.slow_consumer_trips,
-            "pressure_credit_gate_closed": int(self._credit_gate_closed),
+            **self.core.counters(),
         }
         if self._budget is not None:
             totals["pressure_conn_used"] = self._budget.used(self.conn_id)
-        for prefix, engine in (
-            ("fc_tx", self.fc_sender),
-            ("fc_rx", self.fc_receiver),
-            ("ec_tx", self.ec_sender),
-            ("ec_rx", self.ec_receiver),
-        ):
-            for key, value in engine.metrics().items():
-                totals[f"{prefix}_{key}"] = value
         interface_metrics = getattr(self.interface, "metrics", None)
         if callable(interface_metrics):
             for key, value in interface_metrics().items():
@@ -811,60 +630,90 @@ class Connection:
                 registry.gauge("ncs_conn_" + key, **labels).set(value)
 
     # ------------------------------------------------------------------
-    # Control-plane entry points (called from node threads)
+    # Entry points for the node's threads: control reader and timer
     # ------------------------------------------------------------------
 
     def on_control_pdu(self, pdu: ControlPdu) -> None:
         """Route an inbound control PDU for this connection."""
         if isinstance(pdu, ClosePdu):
-            self._peer_closed = True
-            self._recorder.record(
-                "state", "peer_close", conn=self.conn_id, peer=self.peer_name
-            )
-            return
-        if isinstance(pdu, CreditResyncPdu):
-            # Receiver-side: answered directly on the control-link reader
-            # thread — touches only gate state, never the FC/EC engines.
-            self._answer_credit_resync()
-            return
-        if self.config.mode == "threaded":
-            if not self._closed:
-                self._proto_chan.put(("control", pdu))
+            self._note_peer_gone("peer_close")
+        elif isinstance(pdu, CreditResyncPdu):
+            # Receiver half: touches only gate state, never the sender
+            # engines, so it is answered right here on the reader thread.
+            with self._rx_lock:
+                self._send_controls(
+                    self.core.on_resync_request(self._clock.now()).controls
+                )
         else:
-            with self._engine_lock:
-                self._apply_sender_control(pdu, self._clock.now())
+            self._to_sender(("control", pdu))
 
     def on_timer_tick(self, now: float) -> None:
-        """Called by the node timer thread at each tick."""
+        """Called by the node timer once ``next_deadline`` has passed."""
         if self._closed:
             return
-        event_mode = self._event_endpoint is not None
-        due = (
-            (self._ec_timer_at is not None and now >= self._ec_timer_at)
-            or (self._fc_ready_at is not None and now >= self._fc_ready_at)
-        )
-        if event_mode and not due:
-            # No application thread pumps the receiver in event mode, so
-            # the ordered-delivery / reassembly GC deadline rides the
-            # node timer as well.
-            due = self._recv_gc_at is not None and now >= self._recv_gc_at
-        if not due:
+        core = self.core
+        due = core.sender_deadline
+        if due is not None and now >= due:
+            self._to_sender(("timer",))
+        due = core.recv_deadline
+        if due is not None and now >= due:
+            with self._rx_lock:
+                self._apply(core.on_recv_timer(now))
+
+    def _note_peer_gone(self, what: str, **detail) -> None:
+        """The peer closed, or the data interface died under us (not a
+        local close).
+
+        Flags ``peer_gone`` so blocked receivers unblock with a typed
+        error and the health/recovery layers see the outage instead of
+        a silently parked thread.
+        """
+        if self._closed or self.core.peer_gone:
             return
-        if self.config.mode == "threaded":
-            self._proto_chan.put(("timer", now))
-        else:
-            with self._engine_lock:
-                self._run_ec_timer(now, transmit_inline=True)
-            if event_mode:
-                with self._recv_lock:
-                    self._maybe_recv_gc()
+        self.core.peer_gone = True
+        self._recorder.record(
+            "state", what, conn=self.conn_id, peer=self.peer_name, **detail
+        )
+
+    def event_transport_lost(self, where: str) -> None:
+        """The data path died at ``where`` (any plane reports here)."""
+        self._note_peer_gone("transport_lost", where=where)
 
     # ------------------------------------------------------------------
-    # Threaded mode: protocol / send / receive loops
+    # (a) Who runs the sender half
     # ------------------------------------------------------------------
+
+    def _run_sender(self, event: tuple) -> None:
+        """Feed one event — send request, control PDU or timer tick — to
+        the core's sender half and carry out what it decides."""
+        core = self.core
+        kind = event[0]
+        sinks = ()
+        stamp = self._stamp if self._xray_send_spans else None
+        with self._engine_lock:
+            now = self._clock.now()
+            if kind == "send":
+                _, handle, payload, trace_id, span_mark, sinks, span = event
+                if sinks or span is not None:
+                    stamp = partial(self._stamp, instruments=sinks, span=span)
+                effects = core.submit(
+                    handle, payload, now, trace_id, span_mark or None, stamp
+                )
+            elif kind == "control":
+                effects = core.on_control(event[1], now, stamp)
+            else:
+                effects = core.on_timer(now, stamp)
+            self._apply(effects, sinks)
+
+    def _post(self, event: tuple) -> None:
+        """Threaded plane: hand the event to the protocol thread.  (The
+        stamp precedes the put: the thread may dequeue the instant the
+        request lands.)"""
+        self._stamp_hop("queued", event)
+        self._proto_chan.put(event)
 
     def _proto_loop(self) -> None:
-        """Hosts the sender-side EC and FC engines."""
+        """Threaded plane: hosts the sender-side EC and FC engines."""
         while True:
             try:
                 event = self._proto_chan.get(timeout=0.1)
@@ -874,33 +723,49 @@ class Connection:
                 continue
             if event[0] is _STOP:
                 return
-            now = self._clock.now()
-            kind = event[0]
-            if kind == "send":
-                _, msg_id, payload, instrument, trace_id, span_mark = event
-                span = (
-                    self._xray_send_spans.get(msg_id) if span_mark else None
-                )
-                if instrument is not None:
-                    instrument["dequeued"] = time.perf_counter_ns()
-                if span is not None:
-                    span["dequeued"] = time.perf_counter_ns()
-                effects = self.ec_sender.send(
-                    msg_id, payload, now, trace_id=trace_id,
-                    span_id=span_mark or None,
-                )
-                if instrument is not None:
-                    instrument["segmented"] = time.perf_counter_ns()
-                if span is not None:
-                    span["segmented"] = time.perf_counter_ns()
-                self._ec_timer_at = effects.timer_at
-                self._dispatch_sender_effects(
-                    effects, now, transmit_inline=False, instrument=instrument
-                )
-            elif kind == "control":
-                self._apply_sender_control(event[1], now)
-            elif kind == "timer":
-                self._run_ec_timer(now, transmit_inline=False)
+            self._stamp_hop("dequeued", event)
+            self._run_sender(event)
+
+    # ------------------------------------------------------------------
+    # (b) Where released SDUs and control PDUs go
+    # ------------------------------------------------------------------
+
+    def _apply(self, effects, instruments=()) -> None:
+        """Carry out one core decision: SDUs to the data plane, PDUs to
+        the control plane, messages to the application."""
+        if effects.transmits:
+            self._transmit(effects.transmits, instruments)
+        if effects.controls:
+            self._send_controls(effects.controls)
+        for message in effects.deliveries:
+            if self._h_recv_size is not None:
+                self._h_recv_size.observe(len(message))
+            self.recv_queue.put(message)
+        if self._xray_send_spans:
+            # A send that died before reaching the wire never finalizes;
+            # drop its span so the table cannot grow without bound.
+            for msg_id in effects.failed:
+                self._xray_send_spans.pop(msg_id, None)
+        if self.core.next_deadline != self.next_deadline:
+            # (Recomputed under the lock: the two halves publish from
+            # different threads, and the later writer must win.)
+            with self._deadline_lock:
+                self.next_deadline = self.core.next_deadline
+
+    def _send_controls(self, pdus) -> None:
+        """The one way out for control PDUs: the node's Control Send
+        Thread queue (unbounded, so this cannot fail; a dead link is the
+        Control Send Thread's to notice)."""
+        control_send = self.node.control_send
+        for pdu in pdus:
+            control_send(self.peer_link, pdu)
+
+    def _queue_for_send_thread(self, sdus: list, instruments) -> None:
+        """Threaded plane: flow-released SDUs cross to the Send Thread."""
+        instrument = instruments[0] if instruments else None
+        put = self._send_chan.put
+        for sdu in sdus:
+            put((sdu, instrument))
 
     def _send_loop(self) -> None:
         """The paper's Send Thread: transmit flow-released SDUs.
@@ -930,556 +795,156 @@ class Connection:
                     stop = True  # transmit what we collected, then exit
                     break
                 batch.append(extra)
-            dequeued_ns = time.perf_counter_ns()
-            xray_live = bool(self._xray_send_spans)
-            sdus = []
-            for sdu, instrument in batch:
-                if instrument is not None:
-                    instrument["send_thread_dequeued"] = dequeued_ns
-                if xray_live:
-                    header = sdu.header
-                    if header.span_id & XRAY_SPAN_MARK and header.end_bit:
-                        span = self._xray_send_spans.get(header.msg_id)
-                        if span is not None and "send_dequeued" not in span:
-                            span["send_dequeued"] = dequeued_ns
-                sdus.append(sdu)
-            try:
-                self.interface.send_many(sdus)
-            except InterfaceClosed:
-                self._note_transport_loss("send")
+            sdus = [sdu for sdu, _ in batch]
+            instruments = [i for _, i in batch if i is not None]
+            if instruments or self._xray_send_spans:
+                self._stamp("send_thread_dequeued", sdus, instruments)
+            if not self._write(sdus, instruments) or stop:
                 return
-            if self._tracer.enabled:
-                # One transmit event per traced message in the batch —
-                # the wire-departure span for the cluster trace merger.
-                transmitted: dict = {}
-                for sdu in sdus:
-                    header = sdu.header
-                    if header.trace_id:
-                        entry = transmitted.setdefault(
-                            (header.msg_id, header.trace_id), [0]
-                        )
-                        entry[0] += 1
-                for (msg_id, trace_id), entry in transmitted.items():
-                    self._tracer.emit(
-                        "data", "transmit",
-                        conn_id=self.conn_id, msg_id=msg_id,
-                        sdus=entry[0], trace=trace_id,
+
+    def _write(self, sdus: list, instruments=()) -> bool:
+        """Put flow-released SDUs on the wire — ``send_many``, or the
+        event endpoint's ``submit`` — and report their departure.  False
+        when the transport turned out to be dead."""
+        try:
+            self._wire(sdus)
+        except InterfaceClosed:
+            self.event_transport_lost("send")
+            return False
+        if self._tracer.enabled:
+            # One transmit event per traced message in the batch — the
+            # wire-departure span for the cluster trace merger.
+            transmitted: dict = {}
+            for sdu in sdus:
+                header = sdu.header
+                if header.trace_id:
+                    key = (header.msg_id, header.trace_id)
+                    transmitted[key] = transmitted.get(key, 0) + 1
+            for (msg_id, trace_id), count in transmitted.items():
+                self._tracer.emit(
+                    "data", "transmit",
+                    conn_id=self.conn_id, msg_id=msg_id,
+                    sdus=count, trace=trace_id,
+                )
+        if instruments or self._xray_send_spans:
+            self._stamp("transmitted", sdus, instruments)
+            for msg_id, span in self._marked(sdus):
+                # First wire departure of the message's last SDU closes
+                # the sender span; retransmits find it already gone.
+                if self._xray_send_spans.pop(msg_id, None) is not None:
+                    self._xray.record_send(
+                        self.conn_id, self.peer_name, msg_id, span
                     )
-            if xray_live or any(
-                instrument is not None for _, instrument in batch
-            ):
-                transmitted_ns = time.perf_counter_ns()
-                for sdu, instrument in batch:
-                    if instrument is not None:
-                        instrument["transmitted"] = transmitted_ns
-                    if xray_live:
-                        header = sdu.header
-                        if header.span_id & XRAY_SPAN_MARK and header.end_bit:
-                            # First wire departure of the message's last
-                            # SDU closes the sender span; retransmits of
-                            # it find the span already gone.
-                            self._finish_send_span(
-                                header.msg_id, transmitted_ns
-                            )
-            if stop:
-                return
+        return True
+
+    # ------------------------------------------------------------------
+    # (c) Who pumps the receiver half
+    # ------------------------------------------------------------------
+
+    def _on_frames(self, frames: list) -> None:
+        """Run one batch of raw frames through the core's receiver half
+        and carry out what it decides (credits and ACKs out, messages to
+        the receive queue) — atomically, so deliveries released by the
+        node timer cannot overtake or be overtaken by a batch."""
+        profiler = self.profiler
+        stamps = stamp = None
+        if profiler is not None or self._xray is not None:
+            stamps = {}
+            stamp = partial(self._rx_stamp, stamps)
+            if profiler is not None:
+                stamp("recv_entry")
+        with self._rx_lock:
+            self._apply(self.core.on_frames(frames, self._clock.now(), stamp))
+        if profiler is not None and "decoded" in stamps:
+            stamp("delivered")
+            profiler.record_recv(stamps)
+
+    def _pump_once(self, timeout: float) -> Optional[bool]:
+        """Read whatever the data interface has ready (waiting up to
+        ``timeout`` for the first frame) and process it as one batch.
+        True if frames arrived, None if the transport is dead."""
+        try:
+            frames = self.interface.recv_many(
+                self.config.batch_max, timeout=timeout
+            )
+        except InterfaceClosed:
+            self.event_transport_lost("recv")
+            return None
+        if frames:
+            self._on_frames(frames)
+        return bool(frames)
 
     def _recv_loop(self) -> None:
         """The paper's Receive Thread: poll-and-yield on the user-level
-        package, blocking-with-timeout on the kernel package.
-
-        Drains every frame the interface already has ready (up to
-        ``batch_max``) and processes them as one batch — single clock
-        read, coalesced credit grants, deduplicated ACKs.
-        """
+        package, blocking-with-timeout on the kernel package."""
         poll_mode = self._pkg.kind == "user"
-        batch_max = self.config.batch_max
         while not self._closed:
-            try:
-                frames = self.interface.recv_many(
-                    batch_max, timeout=0.0 if poll_mode else 0.05
-                )
-            except InterfaceClosed:
-                self._note_transport_loss("recv")
+            got = self._pump_once(0.0 if poll_mode else 0.05)
+            if got is None:
                 return
-            if not frames:
-                self._maybe_recv_gc()
-                if poll_mode:
-                    self._pkg.yield_control()
-                continue
-            self._process_frames(frames)
-
-    def _note_transport_loss(self, where: str) -> None:
-        """The data interface died under us (not a local close).
-
-        Flags ``peer_gone`` so blocked receivers unblock with a typed
-        error and the health/recovery layers see the outage instead of
-        a silently parked thread.
-        """
-        if self._closed or self._peer_closed:
-            return
-        self._peer_closed = True
-        self._recorder.record(
-            "state", "transport_lost",
-            conn=self.conn_id, peer=self.peer_name, where=where,
-        )
-
-    def _process_frame(self, frame: bytes) -> None:
-        """Receiver path shared by threaded and bypass modes."""
-        self._process_frames([frame])
-
-    def _dedup_acks(self, pdus: list) -> list:
-        """Collapse superseded acknowledgments generated within one
-        receive batch.
-
-        Every :class:`AckPdu` carries the message's *full* current
-        bitmap (and :class:`CumAckPdu` the current high-water mark), so
-        when a batch produces several for the same ``(connection,
-        message)`` only the last reflects the post-batch state — the
-        earlier ones are obsolete before they could leave the node.
-        Other control PDUs pass through; relative order is preserved.
-        """
-        if len(pdus) <= 1:
-            return pdus
-        last_seen: dict = {}
-        for index, pdu in enumerate(pdus):
-            if isinstance(pdu, (AckPdu, CumAckPdu)):
-                last_seen[(type(pdu), pdu.connection_id, pdu.msg_id)] = index
-        kept = []
-        for index, pdu in enumerate(pdus):
-            if isinstance(pdu, (AckPdu, CumAckPdu)):
-                if last_seen[(type(pdu), pdu.connection_id, pdu.msg_id)] != index:
-                    self.acks_deduped += 1
-                    continue
-            kept.append(pdu)
-        return kept
-
-    def _process_frames(self, frames: list) -> None:
-        """Run one batch of raw frames through the receiver engines.
-
-        The whole batch shares one clock reading, one coalesced flow
-        control pass (a single CreditPdu on the credit path) and one
-        deduplicated ACK flush.  Profiler stage stamps are per *batch*:
-        each stage's cost is amortized over every frame it handled.
-        """
-        profiler = self.profiler
-        stamps = None
-        if profiler is not None:
-            stamps = {"recv_entry": time.perf_counter_ns()}
-        sdus = []
-        for frame in frames:
-            try:
-                sdus.append(Sdu.decode(frame))
-            except HeaderError:
-                self.frames_malformed += 1
-        if not sdus:
-            return
-        if stamps is not None:
-            stamps["decoded"] = time.perf_counter_ns()
-        if self._xray is not None:
-            arrival_ns = time.perf_counter_ns()
-            for sdu in sdus:
-                header = sdu.header
-                if (
-                    header.span_id & XRAY_SPAN_MARK
-                    and header.msg_id not in self._xray_recv_spans
-                ):
-                    if len(self._xray_recv_spans) >= 1024:
-                        # Orphans (e.g. duplicate of an already-finished
-                        # message) must not grow the table forever.
-                        self._xray_recv_spans.pop(
-                            next(iter(self._xray_recv_spans))
-                        )
-                    self._xray_recv_spans[header.msg_id] = {
-                        "first_sdu": arrival_ns,
-                        "_trace": header.trace_id,
-                        "_msg": header.msg_id,
-                    }
-        now = self._clock.now()
-        # Fig. 4 steps 8-9: Receive Thread activates the Flow Control
-        # Thread, which returns credit over the control connection...
-        for pdu in self.fc_receiver.on_sdu_batch(sdus, now):
-            if self._gate_credit(pdu):
-                continue  # slow consumer: grant withheld, not lost
-            self.node.control_send(self.peer_link, pdu)
-        if stamps is not None:
-            stamps["fc_done"] = time.perf_counter_ns()
-        # ...then the Error Control Thread reassembles and acknowledges.
-        controls: list = []
-        deliveries: list = []
-        delivered_msg = None
-        delivered_trace = 0
-        #: Sender-assigned trace ids seen in this batch, keyed by msg_id
-        #: — lets the receiver tag its ACKs with the originating trace.
-        batch_traces: dict = {}
-        for sdu in sdus:
-            if sdu.header.trace_id:
-                batch_traces[sdu.header.msg_id] = sdu.header.trace_id
-            effects = self.ec_receiver.on_sdu(sdu, now)
-            self._recv_gc_at = effects.timer_at
-            controls.extend(effects.controls)
-            if effects.deliveries:
-                delivered_msg = sdu.header.msg_id
-                delivered_trace = sdu.header.trace_id
-                if self._xray_recv_spans and (
-                    sdu.header.span_id & XRAY_SPAN_MARK
-                ):
-                    span = self._xray_recv_spans.pop(sdu.header.msg_id, None)
-                    if span is not None:
-                        # The completing SDU's own message is released
-                        # first; held later messages (ordered delivery)
-                        # follow it.
-                        span["reassembled"] = time.perf_counter_ns()
-                        if len(self._xray_delivery) >= 1024:
-                            self._xray_delivery.pop(
-                                next(iter(self._xray_delivery))
-                            )
-                        self._xray_delivery[id(effects.deliveries[0])] = span
-                deliveries.extend(effects.deliveries)
-        for pdu in self._dedup_acks(controls):
-            if self._tracer.enabled and isinstance(pdu, (AckPdu, CumAckPdu)):
-                self._tracer.emit(
-                    "control", "ack_tx",
-                    conn_id=self.conn_id, msg_id=pdu.msg_id,
-                    trace=batch_traces.get(pdu.msg_id, 0),
-                )
-            self.node.control_send(self.peer_link, pdu)
-        if stamps is not None:
-            stamps["ec_done"] = time.perf_counter_ns()
-        if deliveries:
-            with self._stats_lock:
-                self.messages_received += len(deliveries)
-                self.bytes_received += sum(len(m) for m in deliveries)
-            for message in deliveries:
-                if self._h_recv_size is not None:
-                    self._h_recv_size.observe(len(message))
-                self._account_delivery_put(len(message))
-                self.recv_queue.put(message)
-            self._recorder.record(
-                "data", "deliver",
-                conn=self.conn_id, msg=delivered_msg,
-                messages=len(deliveries), trace=delivered_trace,
-            )
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "data", "deliver",
-                    conn_id=self.conn_id, msg_id=delivered_msg,
-                    messages=len(deliveries), trace=delivered_trace,
-                )
-        self._sync_reassembly_site()
-        if stamps is not None:
-            stamps["delivered"] = time.perf_counter_ns()
-            profiler.record_recv(stamps)
-
-    def _maybe_recv_gc(self) -> None:
-        if self._recv_gc_at is None:
-            return
-        now = self._clock.now()
-        if now >= self._recv_gc_at:
-            effects = self.ec_receiver.on_timer(now)
-            self._recv_gc_at = effects.timer_at
-            if effects.deliveries:
-                with self._stats_lock:
-                    self.messages_received += len(effects.deliveries)
-                    self.bytes_received += sum(
-                        len(m) for m in effects.deliveries
-                    )
-            for message in effects.deliveries:
-                # Ordered delivery released messages held behind a gap.
-                self._account_delivery_put(len(message))
-                self.recv_queue.put(message)
-            self._sync_reassembly_site()
-
-    # ------------------------------------------------------------------
-    # Shared sender-side effect dispatch
-    # ------------------------------------------------------------------
-
-    def _run_ec_timer(self, now: float, transmit_inline: bool) -> None:
-        """Timer tick for the sender engines.
-
-        While flow control still gates queued SDUs, an acknowledgment
-        was never possible, so retransmission deadlines are deferred
-        rather than fired (the paper starts the timer only after the
-        last packet reaches the Send Thread).  The flow pump still runs
-        so stalled credit/window/rate controllers make progress.
-        """
-        if self.fc_sender.queued() > 0:
-            self.ec_sender.defer(now)
-            self._pump_flow(now, transmit_inline)
-            return
-        effects = self.ec_sender.on_timer(now)
-        if effects.transmits:
-            # Timer-driven transmits are retransmissions by definition.
-            self._recorder.record(
-                "error", "retransmit",
-                conn=self.conn_id, sdus=len(effects.transmits), cause="timeout",
-            )
-        self._ec_timer_at = effects.timer_at
-        self._dispatch_sender_effects(effects, now, transmit_inline=transmit_inline)
-
-    def _apply_sender_control(self, pdu: ControlPdu, now: float) -> None:
-        """Feed a control PDU to the right sender-side engine."""
-        if isinstance(pdu, CreditPdu):
-            self._recorder.record(
-                "flow", "credit", conn=self.conn_id, credits=pdu.credits
-            )
-            self.fc_sender.on_control(pdu, now)
-            self._pump_flow(now, transmit_inline=self.config.mode == "bypass")
-            return
-        if isinstance(pdu, (AckPdu, CumAckPdu)):
-            self._recorder.record(
-                "error", "ack", conn=self.conn_id, msg=pdu.msg_id,
-                trace=self.trace_of(pdu.msg_id),
-            )
-            effects = self.ec_sender.on_control(pdu, now)
-            if effects.transmits and (
-                getattr(self.ec_sender, "last_retransmit_at", -1.0) == now
-            ):
-                # Selective retransmissions; go-back-N window refills
-                # transmit *new* SDUs and leave last_retransmit_at alone.
-                self._recorder.record(
-                    "error", "retransmit",
-                    conn=self.conn_id, sdus=len(effects.transmits), cause="ack",
-                )
-            self._ec_timer_at = effects.timer_at
-            self._dispatch_sender_effects(
-                effects, now, transmit_inline=self.config.mode == "bypass"
-            )
-
-    def _dispatch_sender_effects(
-        self,
-        effects: Effects,
-        now: float,
-        transmit_inline: bool,
-        instrument: Optional[dict] = None,
-    ) -> None:
-        if effects.transmits:
-            self.fc_sender.offer(effects.transmits)
-            if self._xray_send_spans:
-                offered_ns = time.perf_counter_ns()
-                for sdu in effects.transmits:
-                    header = sdu.header
-                    if header.span_id & XRAY_SPAN_MARK and header.end_bit:
-                        span = self._xray_send_spans.get(header.msg_id)
-                        if span is not None and "offered" not in span:
-                            span["offered"] = offered_ns
-        for pdu in effects.controls:
-            self.node.control_send(self.peer_link, pdu)
-        for msg_id in effects.completed:
-            self._resolve_handle(msg_id, SendStatus.COMPLETED)
-        for msg_id in effects.failed:
-            self._resolve_handle(msg_id, SendStatus.FAILED)
-        self._pump_flow(now, transmit_inline, instrument)
-
-    def _pump_flow(
-        self,
-        now: float,
-        transmit_inline: bool,
-        instrument: Optional[dict] = None,
-    ) -> None:
-        """Release whatever flow control currently allows (Fig. 7 step 3)."""
-        if self._peer_closed or self._closed:
-            # The data path is dead (transport lost, peer closed, or we
-            # closed): the Send Thread has exited or is exiting, so
-            # releasing SDUs would only pile them into a channel nobody
-            # drains.  Leave them queued in the flow controller — the
-            # recovery layer replays pending sends over a fresh
-            # incarnation.
-            self._fc_ready_at = None
-            return
-        released = self.fc_sender.pull(now)
-        take_resync = getattr(self.fc_sender, "take_resync_request", None)
-        if take_resync is not None and take_resync():
-            # Two-phase credit resync: ask the receiver to restore the
-            # pool instead of restoring it unilaterally — its slow-
-            # consumer gate gets to answer "stay pinned" (credits=0).
-            self._recorder.record("flow", "resync_request", conn=self.conn_id)
-            try:
-                self.node.control_send(
-                    self.peer_link, CreditResyncPdu(self.conn_id)
-                )
-            except Exception:
-                pass  # control link down; the unilateral fallback covers it
-        if instrument is not None:
-            instrument["flow_released"] = time.perf_counter_ns()
-        xray_live = bool(self._xray_send_spans)
-        if xray_live and released:
-            released_ns = time.perf_counter_ns()
-            for sdu in released:
-                header = sdu.header
-                if header.span_id & XRAY_SPAN_MARK and header.end_bit:
-                    span = self._xray_send_spans.get(header.msg_id)
-                    # First release only: a retransmit re-entering flow
-                    # control must not move the boundary.
-                    if span is not None and "released" not in span:
-                        span["released"] = released_ns
-        if self._event_endpoint is not None:
-            # Event mode: hand the whole burst to the selector plane's
-            # endpoint (backlog append + loop wakeup) — never a blocking
-            # socket write from the calling thread.
-            if released:
-                try:
-                    self._event_endpoint.submit(released)
-                except InterfaceClosed:
-                    self._note_transport_loss("send")
-                    self._fc_ready_at = None
-                    return
-                submitted_ns = time.perf_counter_ns() if xray_live else 0
-                for sdu in released:
-                    header = sdu.header
-                    if self._tracer.enabled and header.trace_id:
-                        self._tracer.emit(
-                            "data", "transmit",
-                            conn_id=self.conn_id, msg_id=header.msg_id,
-                            sdus=1, trace=header.trace_id,
-                        )
-                    if xray_live and (
-                        header.span_id & XRAY_SPAN_MARK and header.end_bit
-                    ):
-                        self._finish_send_span(header.msg_id, submitted_ns)
-            self._fc_ready_at = self.fc_sender.next_ready_time(now)
-            return
-        for sdu in released:
-            if transmit_inline:
-                try:
-                    self.interface.send(sdu.encode())
-                except InterfaceClosed:
-                    self._note_transport_loss("send")
-                    return
-                if self._tracer.enabled and sdu.header.trace_id:
-                    self._tracer.emit(
-                        "data", "transmit",
-                        conn_id=self.conn_id, msg_id=sdu.header.msg_id,
-                        sdus=1, trace=sdu.header.trace_id,
-                    )
-                if xray_live:
-                    header = sdu.header
-                    if header.span_id & XRAY_SPAN_MARK and header.end_bit:
-                        self._finish_send_span(
-                            header.msg_id, time.perf_counter_ns()
-                        )
-            else:
-                self._send_chan.put((sdu, instrument))
-        self._fc_ready_at = self.fc_sender.next_ready_time(now)
-
-    def trace_of(self, msg_id: int) -> int:
-        """Trace id of an in-flight traced send (0 when untraced/done)."""
-        with self._handles_lock:
-            return self._trace_ids.get(msg_id, 0)
-
-    def _finish_send_span(self, msg_id: int, transmitted_ns: int) -> None:
-        """Close a sampled sender span at its first wire departure."""
-        span = self._xray_send_spans.pop(msg_id, None)
-        if span is None or self._xray is None:
-            return
-        span["transmitted"] = transmitted_ns
-        self._xray.record_send(self.conn_id, self.peer_name, msg_id, span)
-
-    def _resolve_handle(self, msg_id: int, status: SendStatus) -> None:
-        if self._xray_send_spans and status is SendStatus.FAILED:
-            # A send that died before reaching the wire never finalizes;
-            # drop its span so the table cannot grow without bound.
-            self._xray_send_spans.pop(msg_id, None)
-        with self._handles_lock:
-            handle = self._handles.pop(msg_id, None)
-            trace_id = self._trace_ids.pop(msg_id, 0)
-        if handle is not None:
-            self._release_send_site(handle.size)
-            if status is SendStatus.COMPLETED:
-                self.messages_completed += 1
-                if self._tracer.enabled and trace_id:
-                    # Span end on the sender: the ACK round-trip closed.
-                    self._tracer.emit(
-                        "data", "complete",
-                        conn_id=self.conn_id, msg_id=msg_id, trace=trace_id,
-                    )
-            else:
-                self._recorder.record(
-                    "error", "send_failed", conn=self.conn_id, msg=msg_id,
-                    trace=trace_id,
-                )
-            handle._resolve(status)
-
-    # ------------------------------------------------------------------
-    # Bypass mode (§4.2): threads replaced by procedures
-    # ------------------------------------------------------------------
-
-    def _bypass_send(
-        self,
-        msg_id: int,
-        payload: bytes,
-        instrument: Optional[dict],
-        trace_id: int = 0,
-        span_mark: int = 0,
-    ) -> None:
-        now = self._clock.now()
-        with self._engine_lock:
-            effects = self.ec_sender.send(
-                msg_id, payload, now, trace_id=trace_id,
-                span_id=span_mark or None,
-            )
-            if instrument is not None:
-                instrument["segmented"] = time.perf_counter_ns()
-            if span_mark:
-                span = self._xray_send_spans.get(msg_id)
-                if span is not None:
-                    span["segmented"] = time.perf_counter_ns()
-            self._ec_timer_at = effects.timer_at
-            self._dispatch_sender_effects(
-                effects, now, transmit_inline=True, instrument=instrument
-            )
-        if instrument is not None:
-            instrument["transmitted"] = time.perf_counter_ns()
-
-    def _bypass_recv(self, timeout: Optional[float]) -> Optional[bytes]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        token = self._enter_recv_wait()
-        try:
-            while True:
-                ok, item = self.recv_queue.try_get()
-                if ok:
-                    return self._delivery_popped(item)
-                if self._closed or self._peer_closed:
-                    raise ConnectionClosedError(
-                        f"connection {self.conn_id} closed with no pending data"
-                    )
-                remaining = 0.05
-                if deadline is not None:
-                    remaining = min(remaining, deadline - time.monotonic())
-                    if remaining <= 0:
-                        return None
-                self._bypass_pump_once(blocking=True, timeout=remaining)
-        finally:
-            self._exit_recv_wait(token)
-
-    # ------------------------------------------------------------------
-    # Event mode: selector-loop entry points
-    # ------------------------------------------------------------------
+            if poll_mode and not got:
+                self._pkg.yield_control()
 
     def event_rx(self, frames: list) -> None:
-        """Process frames handed over by the event loop (its thread)."""
-        if self._closed or not frames:
+        """Event plane: frames handed over by the selector loop."""
+        if not self._closed and frames:
+            self._on_frames(frames)
+
+    # ------------------------------------------------------------------
+    # The one instrumentation seam: a single clock reading per stage
+    # boundary, fanned out to whichever sinks are on
+    # ------------------------------------------------------------------
+
+    def _marked(self, sdus):
+        """``(msg_id, span)`` of each live sampled send whose *last* SDU
+        is among ``sdus`` (the SDU whose progress bounds the message's)."""
+        spans = self._xray_send_spans
+        for sdu in sdus:
+            header = sdu.header
+            if header.span_id & XRAY_SPAN_MARK and header.end_bit:
+                span = spans.get(header.msg_id)
+                if span is not None:
+                    yield header.msg_id, span
+
+    def _stamp(self, name: str, sdus=None, instruments=(), span=None) -> None:
+        """Send-path boundary ``name``: stamp the Table 1 ``instruments``
+        and either this message's own X-ray ``span`` (``sdus`` None) or
+        the spans of the sampled messages whose last SDU is crossing —
+        first crossing only, a retransmit must not move the boundary."""
+        now_ns = time.perf_counter_ns()
+        for instrument in instruments:
+            instrument[name] = now_ns
+        if sdus is None:
+            if span is not None:
+                span[name] = now_ns
+        elif self._xray_send_spans:
+            for _, live in self._marked(sdus):
+                live.setdefault(name, now_ns)
+
+    def _stamp_hop(self, name: str, event: tuple) -> None:
+        """Threaded plane: a queue hop of an instrumented send request."""
+        if event[0] == "send" and (event[5] or event[6] is not None):
+            self._stamp(name, None, event[5], event[6])
+
+    def _rx_stamp(self, stamps: dict, name: str, sdus=(), message=None) -> None:
+        """Receive-path boundary ``name``: stamp the batch's profiler
+        dict, open an X-ray span at a sampled message's first SDU and
+        park it with the reassembled ``message`` until NCS_recv."""
+        now_ns = stamps[name] = time.perf_counter_ns()
+        if self._xray is None:
             return
-        with self._recv_lock:
-            self._process_frames(frames)
-
-    def event_transport_lost(self, where: str) -> None:
-        """The event loop saw this connection's transport die."""
-        self._note_transport_loss(where)
-
-    def _bypass_pump_once(
-        self, blocking: bool, timeout: float = 0.05
-    ) -> None:
-        """Pull and process all ready frames inline (procedure variant)."""
-        with self._recv_lock:
-            try:
-                frames = self.interface.recv_many(
-                    self.config.batch_max,
-                    timeout=timeout if blocking else 0.0,
-                )
-            except InterfaceClosed:
-                self._note_transport_loss("recv")
-                return
-            if frames:
-                self._process_frames(frames)
-            self._maybe_recv_gc()
+        spans = self._xray_recv_spans
+        if name == "decoded":
+            for sdu in sdus:
+                header = sdu.header
+                if header.span_id & XRAY_SPAN_MARK and header.msg_id not in spans:
+                    _park(spans, header.msg_id, {
+                        "first_sdu": now_ns,
+                        "_trace": header.trace_id,
+                        "_msg": header.msg_id,
+                    })
+        elif name == "reassembled" and spans:
+            span = spans.pop(sdus[0].header.msg_id, None)
+            if span is not None:
+                span["reassembled"] = now_ns
+                _park(self._xray_delivery, id(message), span)

@@ -843,22 +843,12 @@ class Node:
                 # Inline idle-skip: at 10k connections a Python call per
                 # connection per tick is the node's single largest
                 # standing cost (~1.5 us each, 20x/s), so the due-check
-                # reads the deadline slots directly and only descends
-                # into on_timer_tick for connections with a timer armed.
-                # Unlocked reads are safe: a torn read at worst delays
-                # one deadline by a tick, same as the pre-check race
-                # inside on_timer_tick itself.
-                ec_at = connection._ec_timer_at
-                fc_at = connection._fc_ready_at
-                gc_at = (
-                    connection._recv_gc_at
-                    if connection._event_endpoint is not None else None
-                )
-                if (
-                    (ec_at is not None and now >= ec_at)
-                    or (fc_at is not None and now >= fc_at)
-                    or (gc_at is not None and now >= gc_at)
-                ):
+                # reads the connection's one published deadline slot and
+                # only descends into on_timer_tick when it has passed.
+                # The unlocked read is safe: a torn read at worst delays
+                # one deadline by a tick.
+                deadline = connection.next_deadline
+                if deadline is not None and now >= deadline:
                     connection.on_timer_tick(now)
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ machines: every entry point takes the current time and returns
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 from repro.protocol.effects import Effects
 from repro.protocol.headers import Sdu
@@ -55,8 +56,9 @@ class SenderErrorControl(ABC):
     def on_timer(self, now: float) -> Effects:
         """Fire any expired retransmission timers."""
 
-    def defer(self, now: float) -> None:
-        """Push every retransmission deadline out by one timeout.
+    def defer(self, now: float) -> Optional[float]:
+        """Push every retransmission deadline out to at least one timeout
+        from ``now``; returns the next deadline (None: no timer needed).
 
         The runtime calls this instead of ``on_timer`` while the flow
         controller still holds queued SDUs: the paper's timer starts

@@ -153,9 +153,10 @@ class SelectiveRepeatSender(SenderErrorControl):
         effects.timer_at = self._next_deadline()
         return effects
 
-    def defer(self, now: float) -> None:
+    def defer(self, now: float) -> Optional[float]:
         for state in self._outgoing.values():
             state.deadline = max(state.deadline, now + self.retransmit_timeout)
+        return self._next_deadline()
 
     def inflight_count(self) -> int:
         return len(self._outgoing)

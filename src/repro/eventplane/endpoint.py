@@ -12,10 +12,11 @@ Two endpoint kinds cover the data interfaces the event plane serves:
   reads are driven by the pair's data-ready callback, which wakes the
   peer node's loop.
 
-The connection's engines never move: ``submit`` is called by whatever
-thread pumped flow control (application, control reader, timer), and
-``on_readable`` hands complete frames to the connection under its
-receive lock on the loop thread.
+The endpoint moves bytes only: ``submit`` is the event driver's choice
+of where flow-released SDUs go (called by whichever thread just ran the
+connection core's sender half — application, control reader, timer),
+and ``on_readable`` hands complete frames to ``Connection.event_rx``,
+which runs the core's receiver half on the loop thread.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ Structure (classic readiness loop with a self-pipe):
   between selector rounds, re-queueing any endpoint that still has
   frames so one chatty pair cannot starve the rest.
 
-Everything the loop calls on a connection (`event_rx`) takes that
-connection's receive lock, so the loop thread and the node timer's
-reassembly GC can't race; sender-side engines stay behind the engine
-lock and are never touched from the loop.
+Everything the loop calls on a connection (`event_rx`) runs the
+connection core's receiver half under that connection's receive lock,
+so the loop thread and the node timer's receiver tick can't race; the
+sender half stays behind the engine lock and is never touched from the
+loop.
 """
 
 from __future__ import annotations

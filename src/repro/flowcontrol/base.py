@@ -40,6 +40,11 @@ class SenderFlowControl(ABC):
     def queued(self) -> int:
         """SDUs offered but not yet released by the algorithm."""
 
+    def take_resync_request(self) -> bool:
+        """True once per resync request the algorithm raised (the caller
+        sends the CreditResyncPdu); only credit flow control raises any."""
+        return False
+
     def next_ready_time(self, now: float) -> Optional[float]:
         """Earliest time ``pull`` may release more (rate-based pacing);
         None when release depends only on peer feedback or the queue."""

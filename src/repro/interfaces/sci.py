@@ -261,7 +261,13 @@ class SciInterface(CommInterface):
                 return []
             frames = [first]
             while len(frames) < max_n:
-                nxt = self._recv_frame(0.0)
+                try:
+                    nxt = self._recv_frame(0.0)
+                except InterfaceClosed:
+                    # EOF behind complete frames: deliver what arrived
+                    # first; the interface stays dead, so the caller's
+                    # next receive raises.
+                    break
                 if nxt is None:
                     break
                 frames.append(nxt)

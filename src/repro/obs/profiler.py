@@ -48,7 +48,9 @@ BYPASS_SEND_STAGES: List[Tuple[str, str, str]] = [
     ("data transfer (interface send)", "flow_released", "transmitted"),
 ]
 
-#: Receive-path stages stamped by ``Connection._process_frame``.
+#: Receive-path stages: ``recv_entry``/``delivered`` stamped by
+#: ``Connection._on_frames`` around the core call, the three interior
+#: boundaries by ``ConnectionCore.on_frames`` through its ``stamp`` hook.
 RECV_STAGES: List[Tuple[str, str, str]] = [
     ("header decode", "recv_entry", "decoded"),
     ("flow control (credit return)", "decoded", "fc_done"),

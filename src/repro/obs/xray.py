@@ -10,9 +10,9 @@ through every pipeline boundary it crosses —
 * protocol-thread queue wait (``queued -> dequeued``),
 * segmentation/encode (``dequeued -> segmented``),
 * error-control window wait (``segmented -> offered``),
-* flow-control credit wait (``offered -> released``),
-* Send Thread queue wait (``released -> send_dequeued``),
-* interface write (``send_dequeued -> transmitted``),
+* flow-control credit wait (``offered -> flow_released``),
+* Send Thread queue wait (``flow_released -> send_thread_dequeued``),
+* interface write (``send_thread_dequeued -> transmitted``),
 
 and on the receiving node reassembly (``first_sdu -> reassembled``) and
 delivery-queue wait (``reassembled -> popped``).  Stage boundaries
@@ -64,9 +64,9 @@ XRAY_SEND_STAGES: List[Tuple[str, str, str]] = [
     ("proto_queue_wait", "queued", "dequeued"),
     ("encode", "dequeued", "segmented"),
     ("ec_window_wait", "segmented", "offered"),
-    ("fc_credit_wait", "offered", "released"),
-    ("send_queue_wait", "released", "send_dequeued"),
-    ("interface_write", "send_dequeued", "transmitted"),
+    ("fc_credit_wait", "offered", "flow_released"),
+    ("send_queue_wait", "flow_released", "send_thread_dequeued"),
+    ("interface_write", "send_thread_dequeued", "transmitted"),
 ]
 
 #: §4.2 bypass-mode sender stages: no queues, no context switches.
@@ -74,8 +74,8 @@ XRAY_BYPASS_SEND_STAGES: List[Tuple[str, str, str]] = [
     ("admission_wait", "entry", "admitted"),
     ("encode", "admitted", "segmented"),
     ("ec_window_wait", "segmented", "offered"),
-    ("fc_credit_wait", "offered", "released"),
-    ("interface_write", "released", "transmitted"),
+    ("fc_credit_wait", "offered", "flow_released"),
+    ("interface_write", "flow_released", "transmitted"),
 ]
 
 #: Receiver stages.  ``first_sdu`` is the arrival of the message's first

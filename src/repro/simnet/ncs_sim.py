@@ -1,10 +1,13 @@
-"""The *real* NCS protocol engines running in virtual time.
+"""The *real* NCS connection core running in virtual time.
 
-Everything in :mod:`repro.errorcontrol` and :mod:`repro.flowcontrol` is
-sans-I/O, so the exact code the live runtime executes can be driven by
-the discrete-event kernel instead: SDUs ride simulated (optionally
-lossy, ATM-cell-accurate) links, control PDUs ride loss-free control
-links, and retransmission timers are simulator events.  Same seeds ⇒
+:class:`~repro.core.conncore.ConnectionCore` is sans-I/O, so the exact
+state machine the live runtime executes can be driven by the
+discrete-event kernel instead: ``SimNcsEndpoint`` is the core's fourth
+driver (after the threaded, bypass and event planes of
+:class:`~repro.core.connection.Connection`) and, like them, only moves
+bytes and time — SDUs ride simulated (optionally lossy,
+ATM-cell-accurate) links, control PDUs ride loss-free control links, and
+the core's one ``next_deadline`` is a simulator event.  Same seeds ⇒
 identical protocol traces, which the SDU-size and algorithm-ablation
 benches and the loss-recovery property tests rely on.
 """
@@ -14,13 +17,16 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from repro.errorcontrol import make_error_control
-from repro.flowcontrol import make_flow_control
+from repro.core.config import ConnectionConfig
+from repro.core.conncore import ConnectionCore
+from repro.core.handles import SendHandle
 from repro.protocol.effects import Effects
-from repro.protocol.headers import HeaderError, Sdu
-from repro.protocol.pdus import ControlPdu, CreditPdu, decode_control_pdu
+from repro.protocol.pdus import CreditResyncPdu, decode_control_pdu
 from repro.simnet.kernel import SimEvent, Simulator
 from repro.simnet.link import Link
+
+#: Flow-control knobs the endpoint accepts under their engine-side names.
+_FC_OPTION_NAMES = {"burst": "rate_burst", "resync_timeout": "fc_resync_timeout"}
 
 
 class SimNcsEndpoint:
@@ -29,7 +35,10 @@ class SimNcsEndpoint:
     Wire up two endpoints with :func:`connect_pair`, then call ``send``;
     the returned event fires when the error control engine confirms
     delivery (for reliable algorithms) or immediately on transmission
-    (for ``error_control="none"``).
+    (for ``error_control="none"``).  ``fc_options`` are
+    :class:`~repro.core.config.ConnectionConfig` flow-control knobs
+    (``initial_credits``, ``window_size``, ``rate_pps`` …; ``burst`` and
+    ``resync_timeout`` are accepted under their engine-side names).
     """
 
     def __init__(
@@ -47,18 +56,22 @@ class SimNcsEndpoint:
         self.sim = sim
         self.name = name
         self.conn_id = conn_id
-        ec_options = {}
-        if error_control in ("selective_repeat", "go_back_n"):
-            ec_options = {
-                "retransmit_timeout": retransmit_timeout,
-                "max_retries": max_retries,
-            }
-        self.ec_sender, self.ec_receiver = make_error_control(
-            error_control, conn_id, sdu_size, **ec_options
+        for engine_name, config_name in _FC_OPTION_NAMES.items():
+            if engine_name in fc_options:
+                fc_options[config_name] = fc_options.pop(engine_name)
+        self.core = core = ConnectionCore(
+            conn_id,
+            ConnectionConfig(
+                sdu_size=sdu_size,
+                error_control=error_control,
+                flow_control=flow_control,
+                retransmit_timeout=retransmit_timeout,
+                max_retries=max_retries,
+                **fc_options,
+            ),
         )
-        self.fc_sender, self.fc_receiver = make_flow_control(
-            flow_control, conn_id, **fc_options
-        )
+        self.ec_sender, self.ec_receiver = core.ec_sender, core.ec_receiver
+        self.fc_sender, self.fc_receiver = core.fc_sender, core.fc_receiver
         self.data_out: Optional[Link] = None
         self.ctrl_out: Optional[Link] = None
         self.peer: Optional["SimNcsEndpoint"] = None
@@ -66,143 +79,86 @@ class SimNcsEndpoint:
         #: Virtual time of the most recent completed delivery.
         self.last_delivery_at: Optional[float] = None
         self._completion: Dict[int, SimEvent] = {}
-        self._failure: Dict[int, SimEvent] = {}
         self._msg_ids = itertools.count(1)
         self._timer_seq = 0
-        self._pending_deadline: Optional[float] = None
-        self._recv_timer_seq = 0
+        self._armed_for: Optional[float] = None
         self.sdus_transmitted = 0
         self.control_pdus_sent = 0
         self.failed_msgs: List[int] = []
 
-    # -- sending --------------------------------------------------------------
-
     def send(self, payload: bytes) -> SimEvent:
         """Queue one message; the event fires at confirmed delivery."""
-        msg_id = next(self._msg_ids)
-        done = self.sim.event()
-        self._completion[msg_id] = done
-        effects = self.ec_sender.send(msg_id, payload, self.sim.now)
-        self._dispatch(effects)
+        handle = SendHandle(next(self._msg_ids), len(payload))
+        done = self._completion[handle.msg_id] = self.sim.event()
+        self._apply(self.core.submit(handle, payload, self.sim.now))
         return done
 
-    # -- effect plumbing --------------------------------------------------------
+    # -- moving bytes -----------------------------------------------------------
 
-    def _dispatch(self, effects: Effects) -> None:
+    def _apply(self, effects: Effects) -> None:
+        """Carry out one core decision on the simulated links."""
+        now = self.sim.now
         if effects.transmits:
-            self.fc_sender.offer(effects.transmits)
-        for pdu in effects.controls:
-            self._send_control(pdu)
-        for msg_id in effects.completed:
-            event = self._completion.pop(msg_id, None)
-            if event is not None and not event.triggered:
-                event.succeed(self.sim.now)
-        for msg_id in effects.failed:
-            self.failed_msgs.append(msg_id)
-            event = self._completion.pop(msg_id, None)
-            if event is not None and not event.triggered:
-                event.succeed(None)  # None value signals failure
-        self._pump_flow()
-        self._arm_timer(effects.timer_at)
-
-    def _pump_flow(self) -> None:
-        released = self.fc_sender.pull(self.sim.now)
-        if released:
-            self.sdus_transmitted += len(released)
+            self.sdus_transmitted += len(effects.transmits)
             # One vectored handoff per flow-control release: the batch
             # serializes back-to-back, like the live interfaces'
             # coalesced writes.
             self.data_out.transfer_many(
-                [sdu.encode() for sdu in released], self.peer._on_data_frame
+                [sdu.encode() for sdu in effects.transmits],
+                self.peer._on_data_frame,
             )
-        ready_at = self.fc_sender.next_ready_time(self.sim.now)
-        if ready_at is not None:
-            self._arm_timer(ready_at)
+        for pdu in effects.controls:
+            self.control_pdus_sent += 1
+            self.ctrl_out.transfer(pdu.encode(), self.peer._on_ctrl_frame)
+        if effects.deliveries:
+            self.last_delivery_at = now
+            self.delivered.extend(effects.deliveries)
+        self.failed_msgs.extend(effects.failed)
+        # (A None value signals failure to whoever waits on the event.)
+        for msg_ids, value in ((effects.completed, now), (effects.failed, None)):
+            for msg_id in msg_ids:
+                event = self._completion.pop(msg_id, None)
+                if event is not None and not event.triggered:
+                    event.succeed(value)
+        self._arm_timer(self.core.next_deadline)
 
-    def _send_control(self, pdu: ControlPdu) -> None:
-        self.control_pdus_sent += 1
-        self.ctrl_out.transfer(pdu.encode(), self.peer._on_ctrl_frame)
+    def _on_data_frame(self, frame: bytes) -> None:
+        self._apply(self.core.on_frames([frame], self.sim.now))
 
-    # -- timers -------------------------------------------------------------
+    def _on_ctrl_frame(self, frame: bytes) -> None:
+        pdu = decode_control_pdu(frame)
+        if isinstance(pdu, CreditResyncPdu):
+            self._apply(self.core.on_resync_request(self.sim.now))
+        else:
+            self._apply(self.core.on_control(pdu, self.sim.now))
+
+    # -- moving time ------------------------------------------------------------
 
     def _arm_timer(self, deadline: Optional[float]) -> None:
         if deadline is None:
             return
-        if (
-            self._pending_deadline is not None
-            and deadline >= self._pending_deadline - 1e-12
-        ):
+        if self._armed_for is not None and deadline >= self._armed_for - 1e-12:
             return  # an earlier (or equal) wake-up is already armed
         self._timer_seq += 1
-        self._pending_deadline = deadline
-        seq = self._timer_seq
+        self._armed_for = deadline
         # 1 us floor: a deadline that lands within float rounding of `now`
         # must still advance virtual time, or a pacing loop (token bucket
         # refill, resync boundary) can spin at a frozen timestamp.
-        self.sim.schedule(max(deadline - self.sim.now, 1e-6), self._on_timer, seq)
+        self.sim.schedule(
+            max(deadline - self.sim.now, 1e-6), self._on_timer, self._timer_seq
+        )
 
     def _on_timer(self, seq: int) -> None:
         if seq != self._timer_seq:
             return  # superseded by an earlier deadline
-        self._pending_deadline = None
+        self._armed_for = None
         now = self.sim.now
-        if self.fc_sender.queued() > 0:
-            # Same rule as the live runtime: flow-gated SDUs cannot have
-            # been acknowledged yet, so defer rather than retransmit.
-            self.ec_sender.defer(now)
-            self._pump_flow()
-            self._arm_timer(now + 0.01)
-            return
-        effects = self.ec_sender.on_timer(now)
-        self._dispatch(effects)
-
-    # -- inbound ------------------------------------------------------------
-
-    def _on_data_frame(self, frame: bytes) -> None:
-        try:
-            sdu = Sdu.decode(frame)
-        except HeaderError:
-            return
-        now = self.sim.now
-        for pdu in self.fc_receiver.on_sdu(sdu, now):
-            self._send_control(pdu)
-        effects = self.ec_receiver.on_sdu(sdu, now)
-        if effects.deliveries:
-            self.last_delivery_at = now
-        self.delivered.extend(effects.deliveries)
-        for pdu in effects.controls:
-            self._send_control(pdu)
-        self._arm_recv_timer(effects.timer_at)
-
-    def _arm_recv_timer(self, deadline: Optional[float]) -> None:
-        """Receiver-side housekeeping (ordered-delivery gap release,
-        unreliable-mode reassembly GC)."""
-        if deadline is None:
-            return
-        self._recv_timer_seq += 1
-        seq = self._recv_timer_seq
-        self.sim.schedule(
-            max(deadline - self.sim.now, 1e-6), self._on_recv_timer, seq
-        )
-
-    def _on_recv_timer(self, seq: int) -> None:
-        if seq != self._recv_timer_seq:
-            return
-        effects = self.ec_receiver.on_timer(self.sim.now)
-        if effects.deliveries:
-            self.last_delivery_at = self.sim.now
-        self.delivered.extend(effects.deliveries)
-        self._arm_recv_timer(effects.timer_at)
-
-    def _on_ctrl_frame(self, frame: bytes) -> None:
-        pdu = decode_control_pdu(frame)
-        now = self.sim.now
-        if isinstance(pdu, CreditPdu):
-            self.fc_sender.on_control(pdu, now)
-            self._pump_flow()
-            return
-        effects = self.ec_sender.on_control(pdu, now)
-        self._dispatch(effects)
+        core = self.core
+        if core.sender_deadline is not None and core.sender_deadline <= now:
+            self._apply(core.on_timer(now))
+        if core.recv_deadline is not None and core.recv_deadline <= now:
+            self._apply(core.on_recv_timer(now))
+        self._arm_timer(core.next_deadline)
 
 
 def connect_pair(

@@ -25,10 +25,7 @@ from tests.chaos.harness import (
 RECOVERY_BOUND = 5.0
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_echo_survives_drops_and_a_severed_transport(node_factory, seed):
-    """Seeded frame drops the whole way through, plus one abrupt
-    transport severing mid-stream (the classic crashed-peer shape)."""
+def _echo_through_drops_and_a_severing(node_factory, seed, plane="threaded"):
     config = ConnectionConfig(
         fault_plan=parse_fault_plan(f"drop:rate=0.05;seed:{seed}"),
     )
@@ -49,11 +46,25 @@ def test_echo_survives_drops_and_a_severed_transport(node_factory, seed):
         assert status["outages"] >= 1, "the severing went unnoticed"
         assert status["incarnations"] >= 2
         assert status["last_downtime"] < RECOVERY_BOUND
+        assert sup.connection.config.mode == plane  # the reconnect too
         sup.flush(timeout=10.0)
         assert sup.status()["outstanding"] == 0
     finally:
         sup.close()
         echo.close()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_echo_survives_drops_and_a_severed_transport(node_factory, seed):
+    """Seeded frame drops the whole way through, plus one abrupt
+    transport severing mid-stream (the classic crashed-peer shape)."""
+    _echo_through_drops_and_a_severing(node_factory, seed)
+
+
+def test_echo_survives_on_every_plane(node_factory, plane):
+    """The same schedule with both ends — every incarnation of them — on
+    each live driver of the connection core."""
+    _echo_through_drops_and_a_severing(node_factory, seed=4, plane=plane)
 
 
 def test_echo_survives_repeated_injected_crashes(node_factory):

@@ -108,6 +108,21 @@ class TestLifecycle:
             for _ in range(50):
                 b.recv(0.1)
 
+    def test_recv_many_delivers_frames_that_precede_eof(self, pair):
+        """Frames the peer wrote before closing are data, not collateral:
+        the batch that runs into EOF still returns them, and only the
+        *next* receive reports the death."""
+        import time
+
+        a, b = pair
+        a.send(b"one")
+        a.send(b"two")
+        a.close()
+        time.sleep(0.05)  # frames and FIN all sit in b's socket buffer
+        assert b.recv_many(8, timeout=1.0) == [b"one", b"two"]
+        with pytest.raises(InterfaceClosed):
+            b.recv_many(8, timeout=0.1)
+
     def test_oversized_frame_rejected(self, pair):
         a, _ = pair
         a.max_frame = 10

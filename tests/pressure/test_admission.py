@@ -1,5 +1,6 @@
 """Admission policies, slow-consumer credit gating, and batch_max
-validation — integration tests over real node pairs."""
+validation — integration tests over real node pairs, on every data
+plane (see the ``plane`` fixture)."""
 
 import time
 
@@ -8,6 +9,18 @@ import pytest
 from repro.core import ConnectionConfig, Node, NodeConfig
 from repro.core.errors import NCSOverloaded, NCSTimeout
 from repro.pressure import PressureConfig
+
+pytestmark = pytest.mark.usefixtures("plane")
+
+
+@pytest.fixture
+def autonomous_receiver(plane):
+    """Skip where the test needs a receiver that processes frames while
+    its application is *not* calling recv: the §4.2 bypass plane has no
+    such pump by construction (the application thread is the Receive
+    Thread), so unread data simply waits in the transport."""
+    if plane == "bypass":
+        pytest.skip("bypass pumps the receive path only inside recv()")
 
 
 def make_pair(node_factory, pressure, client_cfg=None, **node_kwargs):
@@ -27,7 +40,7 @@ SMALL = PressureConfig(
 
 
 class TestFailFast:
-    def test_rejects_when_budget_exhausted(self, node_factory):
+    def test_rejects_when_budget_exhausted(self, node_factory, deliver):
         client, server, conn, peer = make_pair(
             node_factory, SMALL, ConnectionConfig(admission="fail-fast")
         )
@@ -38,8 +51,7 @@ class TestFailFast:
         assert client.pressure.snapshot()["admission_rejections"] == 1
         client.pressure.release("send", conn.conn_id, SMALL.conn_bytes)
         # Budget freed: the same send now goes through.
-        conn.send(b"x" * 64, wait=True, timeout=5.0)
-        assert peer.recv(5.0) == b"x" * 64
+        assert deliver(conn, peer, b"x" * 64) == b"x" * 64
 
     def test_rejection_is_fast(self, node_factory):
         client, server, conn, peer = make_pair(
@@ -70,7 +82,7 @@ class TestBlock:
         assert client.pressure.snapshot()["admission_waits"] >= 1
         client.pressure.release("send", conn.conn_id, SMALL.conn_bytes)
 
-    def test_blocked_send_proceeds_when_budget_frees(self, node_factory):
+    def test_blocked_send_proceeds_when_budget_frees(self, node_factory, deliver):
         client, server, conn, peer = make_pair(
             node_factory, SMALL, ConnectionConfig(admission="block")
         )
@@ -83,12 +95,15 @@ class TestBlock:
         import threading
 
         threading.Thread(target=free_later, daemon=True).start()
-        conn.send(b"w" * 64, wait=True, timeout=5.0)
-        assert peer.recv(5.0) == b"w" * 64
+        started = time.monotonic()
+        assert deliver(conn, peer, b"w" * 64) == b"w" * 64
+        assert time.monotonic() - started >= 0.15
 
 
 class TestShedOldest:
-    def test_sheds_stalest_delivery_to_admit_send(self, node_factory):
+    def test_sheds_stalest_delivery_to_admit_send(
+        self, node_factory, deliver, autonomous_receiver
+    ):
         client, server, conn, peer = make_pair(
             node_factory, SMALL, ConnectionConfig(admission="shed-oldest")
         )
@@ -104,8 +119,7 @@ class TestShedOldest:
             time.sleep(0.01)
         # A large send no longer fits; shed-oldest evicts parked
         # deliveries (oldest first) instead of failing.
-        conn.send(b"s" * 8192, wait=True, timeout=5.0)
-        assert peer.recv(5.0) == b"s" * 8192
+        assert deliver(conn, peer, b"s" * 8192) == b"s" * 8192
         snap = client.pressure.snapshot()
         assert snap["deliveries_shed"] >= 1
         assert snap["shed_bytes"] >= 4096
@@ -126,7 +140,9 @@ class TestShedOldest:
 
 
 class TestSlowConsumer:
-    def test_credit_gate_closes_and_reopens(self, node_factory):
+    def test_credit_gate_closes_and_reopens(
+        self, node_factory, deliver, autonomous_receiver
+    ):
         pressure = PressureConfig(
             node_bytes=1 << 20,
             conn_bytes=1 << 20,
@@ -157,10 +173,11 @@ class TestSlowConsumer:
             drained += 1
         assert drained == 40
         assert not peer.credit_gate_closed
-        conn.send(b"after", wait=True, timeout=5.0)
-        assert peer.recv(5.0) == b"after"
+        assert deliver(conn, peer, b"after") == b"after"
 
-    def test_gated_peer_stays_pinned_under_resync(self, node_factory):
+    def test_gated_peer_stays_pinned_under_resync(
+        self, node_factory, deliver, autonomous_receiver
+    ):
         # Regression for the credit-trickle leak: a stalled sender's
         # credit *resynchronization* must not mint fresh credits while
         # the receiver's slow-consumer gate is closed.  The two-phase
@@ -206,14 +223,12 @@ class TestSlowConsumer:
             drained += 1
         assert drained == 40
         assert not peer.credit_gate_closed
-        conn.send(b"after", wait=True, timeout=5.0)
-        assert peer.recv(5.0) == b"after"
+        assert deliver(conn, peer, b"after") == b"after"
 
-    def test_budget_returns_to_zero_after_traffic(self, node_factory):
+    def test_budget_returns_to_zero_after_traffic(self, node_factory, deliver):
         client, server, conn, peer = make_pair(node_factory, SMALL)
         for _ in range(5):
-            conn.send(b"q" * 1024, wait=True, timeout=5.0)
-            assert peer.recv(5.0) is not None
+            assert deliver(conn, peer, b"q" * 1024) is not None
         deadline = time.monotonic() + 5.0
         while (
             client.pressure.used() + server.pressure.used() > 0
@@ -225,7 +240,9 @@ class TestSlowConsumer:
 
 
 class TestHealthIntegration:
-    def test_credit_gate_surfaces_overloaded(self, node_factory):
+    def test_credit_gate_surfaces_overloaded(
+        self, node_factory, autonomous_receiver
+    ):
         pressure = PressureConfig(
             node_bytes=1 << 20,
             conn_bytes=1 << 20,
@@ -274,7 +291,7 @@ class TestBatchMaxValidation:
         assert "batch_max" in pending.reject_reason
         client._pending.pop(conn_id, None)
 
-    def test_huge_batch_max_clamped_to_ceiling(self, node_factory):
+    def test_huge_batch_max_clamped_to_ceiling(self, node_factory, deliver):
         client = node_factory("client")
         server = node_factory("server", batch_max_ceiling=8)
         conn = client.connect(
@@ -286,8 +303,7 @@ class TestBatchMaxValidation:
         assert peer is not None
         assert peer.config.batch_max == 8
         # The clamped connection still moves data.
-        conn.send(b"clamped", wait=True, timeout=5.0)
-        assert peer.recv(5.0) == b"clamped"
+        assert deliver(conn, peer, b"clamped") == b"clamped"
 
     def test_normal_batch_max_passes_through(self, node_factory):
         client = node_factory("client")

@@ -137,3 +137,46 @@ class TestDeterminism:
             return (done.value, a.sdus_transmitted, a.control_pdus_sent)
 
         assert run() == run()
+
+
+class TestTwoPhaseCreditResync:
+    """A credit rides the SDU it admitted, so a lossy data link destroys
+    credits; with clean control links the sender's resync *request* is
+    carried to the peer and answered — the unilateral restore is only
+    the unanswered-request fallback."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_request_is_forwarded_and_answered(self, seed):
+        sim = Simulator()
+        a, b = connect_pair(
+            sim,
+            Link(sim, loss_rate=0.4, seed=seed),
+            Link(sim),
+            initial_credits=2,
+            max_retries=60,
+        )
+        payload = bytes(range(256)) * 64  # 4 SDUs
+        done = a.send(payload)
+        sim.run(until=30.0)
+        assert done.triggered and done.value is not None
+        assert b.delivered == [payload]  # exactly once
+        assert a.fc_sender.resync_requests > 0
+        assert b.core.resync_requests_answered == a.fc_sender.resync_requests
+        assert a.fc_sender.resyncs == 0  # answered: no unilateral fallback
+
+    def test_stalled_sender_wakes_at_the_resync_deadline(self):
+        # No fixed re-arm period: while flow-gated the next wake-up is
+        # the flow controller's own next_ready_time.
+        sim = Simulator()
+        a, _b = connect_pair(
+            sim, Link(sim, loss_rate=0.999, seed=1), Link(sim),
+            initial_credits=1, resync_timeout=0.2, retransmit_timeout=0.05,
+        )
+        a.send(b"x" * 8192)  # 2 SDUs, one credit, everything lost
+        events_before = sim.events_executed
+        sim.run(until=0.19)
+        # One deferral at the 50 ms RTO, nothing every 10 ms after it.
+        assert sim.events_executed - events_before < 10
+        assert a.fc_sender.resync_requests == 0
+        sim.run(until=0.5)
+        assert a.fc_sender.resync_requests == 1
