@@ -337,10 +337,11 @@ class ConnectionCore:
         deduplicated ACK flush.
         """
         out = Effects(timer_at=self.recv_deadline)
+        decode = Sdu.decode
         sdus = []
         for frame in frames:
             try:
-                sdus.append(Sdu.decode(frame))
+                sdus.append(decode(frame))
             except HeaderError:
                 self.frames_malformed += 1
         if not sdus:
@@ -357,8 +358,9 @@ class ConnectionCore:
         ]
         if stamp is not None:
             stamp("fc_done")
-        # ...then the Error Control Thread reassembles and acknowledges.
-        acks: list = []
+        # ...then the Error Control Thread reassembles and acknowledges,
+        # every SDU's effects landing in the batch's one record.
+        deliveries = out.deliveries
         delivered_msg = None
         delivered_trace = 0
         #: Sender-assigned trace ids seen in this batch, keyed by msg_id
@@ -368,35 +370,38 @@ class ConnectionCore:
             header = sdu.header
             if header.trace_id:
                 traces[header.msg_id] = header.trace_id
-            effects = self.ec_receiver.on_sdu(sdu, now)
-            self.recv_deadline = effects.timer_at
-            acks.extend(effects.controls)
-            if effects.deliveries:
+            before = len(deliveries)
+            self.ec_receiver.on_sdu(sdu, now, out)
+            if len(deliveries) > before:
                 delivered_msg = header.msg_id
                 delivered_trace = header.trace_id
                 if stamp is not None:
                     # The completing SDU's own message is released
                     # first; held later messages (ordered delivery)
                     # follow it.
-                    stamp("reassembled", (sdu,), effects.deliveries[0])
-                out.deliveries.extend(effects.deliveries)
-        for pdu in self._dedup_acks(acks):
-            if self._tracer.enabled and isinstance(pdu, _ACKS):
-                self._tracer.emit(
-                    "control", "ack_tx",
-                    conn_id=self.conn_id, msg_id=pdu.msg_id,
-                    trace=traces.get(pdu.msg_id, 0),
-                )
-            out.controls.append(pdu)
+                    stamp("reassembled", (sdu,), deliveries[before])
+        out.controls = self._dedup_acks(out.controls)
+        if self._tracer.enabled:
+            for pdu in out.controls:
+                if isinstance(pdu, _ACKS):
+                    self._tracer.emit(
+                        "control", "ack_tx",
+                        conn_id=self.conn_id, msg_id=pdu.msg_id,
+                        trace=traces.get(pdu.msg_id, 0),
+                    )
         if stamp is not None:
             stamp("ec_done")
+        # The receiver deadline is the engine's, read once per batch: an
+        # SDU that completes nothing must not disarm a timer that a held
+        # message still needs.
+        self.recv_deadline = self.ec_receiver.next_deadline(now)
         return self._deliver(out, now, delivered_msg, delivered_trace)
 
     def on_recv_timer(self, now: float) -> Effects:
         """The receiver deadline passed: release messages held behind a
         gap (ordered delivery) and GC stale reassembly state."""
         effects = self.ec_receiver.on_timer(now)
-        self.recv_deadline = effects.timer_at
+        self.recv_deadline = self.ec_receiver.next_deadline(now)
         return self._deliver(effects, now)
 
     def _deliver(

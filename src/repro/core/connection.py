@@ -761,19 +761,18 @@ class Connection:
             control_send(self.peer_link, pdu)
 
     def _queue_for_send_thread(self, sdus: list, instruments) -> None:
-        """Threaded plane: flow-released SDUs cross to the Send Thread."""
-        instrument = instruments[0] if instruments else None
-        put = self._send_chan.put
-        for sdu in sdus:
-            put((sdu, instrument))
+        """Threaded plane: a flow-released burst crosses to the Send
+        Thread as one channel item, not one per SDU."""
+        self._send_chan.put((sdus, instruments[0] if instruments else None))
 
     def _send_loop(self) -> None:
         """The paper's Send Thread: transmit flow-released SDUs.
 
-        Blocks for the first queued SDU, then drains whatever else the
-        channel already holds (up to ``batch_max``) into a single
-        vectored ``send_many`` — one interface call, and on stream
-        interfaces one syscall, per burst instead of per packet.
+        Blocks for the first queued burst, tops it up with whatever else
+        the channel already holds while it is short of ``batch_max``,
+        and writes ``batch_max`` SDUs per vectored ``send_many`` — one
+        interface call, and on stream interfaces one syscall, per chunk
+        instead of per packet (``batch_max=1``: per-frame writes).
         """
         batch_max = self.config.batch_max
         while True:
@@ -785,21 +784,25 @@ class Connection:
                 continue
             if item is _STOP:
                 return
-            batch = [item]
+            sdus, instrument = item
+            instruments = [] if instrument is None else [instrument]
             stop = False
-            while len(batch) < batch_max:
+            while len(sdus) < batch_max:
                 ok, extra = self._send_chan.try_get()
                 if not ok:
                     break
                 if extra is _STOP:
                     stop = True  # transmit what we collected, then exit
                     break
-                batch.append(extra)
-            sdus = [sdu for sdu, _ in batch]
-            instruments = [i for _, i in batch if i is not None]
+                sdus = sdus + extra[0]
+                if extra[1] is not None:
+                    instruments.append(extra[1])
             if instruments or self._xray_send_spans:
                 self._stamp("send_thread_dequeued", sdus, instruments)
-            if not self._write(sdus, instruments) or stop:
+            for start in range(0, len(sdus), batch_max):
+                if not self._write(sdus[start : start + batch_max], instruments):
+                    return
+            if stop:
                 return
 
     def _write(self, sdus: list, instruments=()) -> bool:

@@ -96,12 +96,28 @@ class ReceiverErrorControl(ABC):
     name: str
 
     @abstractmethod
-    def on_sdu(self, sdu: Sdu, now: float) -> Effects:
-        """Process one arriving SDU: reassemble, acknowledge, deliver."""
+    def on_sdu(
+        self, sdu: Sdu, now: float, out: Optional[Effects] = None
+    ) -> Effects:
+        """Process one arriving SDU: reassemble, acknowledge, deliver.
+
+        The SDU's effects are appended to ``out`` — the one record a
+        caller keeps for a whole receive batch — or to a fresh
+        :class:`Effects` when none is given; either way it is returned.
+        """
 
     def on_timer(self, now: float) -> Effects:
         """Periodic housekeeping (unreliable engines GC stale state)."""
         return Effects()
+
+    def next_deadline(self, now: float) -> Optional[float]:
+        """When :meth:`on_timer` next has work, read from the engine's
+        present state (None: nothing is waiting on the clock).
+
+        This, not the ``timer_at`` of whichever SDU came last, is what a
+        driver arms: most SDUs change nothing the clock cares about.
+        """
+        return None
 
     def held_deliveries(self) -> list:
         """Fully reassembled messages held back (e.g. for ordering).

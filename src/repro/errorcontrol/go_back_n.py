@@ -176,11 +176,13 @@ class GoBackNReceiver(ReceiverErrorControl):
 
     COMPLETED_MEMORY = 1024
 
-    def on_sdu(self, sdu: Sdu, now: float) -> Effects:
+    def on_sdu(
+        self, sdu: Sdu, now: float, out: Optional[Effects] = None
+    ) -> Effects:
+        effects = Effects() if out is None else out
         header = sdu.header
         if header.connection_id != self.connection_id:
-            return Effects()
-        effects = Effects()
+            return effects
         if header.msg_id in self._completed:
             # Late retransmission of a finished message: re-ACK completion.
             effects.controls.append(self._ack(header.msg_id, header.total_sdus))
@@ -199,7 +201,7 @@ class GoBackNReceiver(ReceiverErrorControl):
             effects.deliveries.extend(
                 self._ordering.push(header.msg_id, b"".join(fragments), now)
             )
-            effects.timer_at = self._ordering.next_deadline(now)
+            effects.timer_at = self.next_deadline(now)
         else:
             self._incoming[header.msg_id] = (next_expected, fragments)
         effects.controls.append(self._ack_value(header.msg_id, next_expected))
@@ -209,8 +211,11 @@ class GoBackNReceiver(ReceiverErrorControl):
         """Release messages stuck behind an abandoned predecessor."""
         effects = Effects()
         effects.deliveries.extend(self._ordering.release_stale(now))
-        effects.timer_at = self._ordering.next_deadline(now)
+        effects.timer_at = self.next_deadline(now)
         return effects
+
+    def next_deadline(self, now: float) -> Optional[float]:
+        return self._ordering.next_deadline(now)
 
     def held_deliveries(self) -> list:
         """Acked-but-held messages surrendered at connection teardown."""

@@ -9,6 +9,8 @@ reassembly state.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.errorcontrol.base import ReceiverErrorControl, SenderErrorControl
 from repro.protocol.effects import Effects
 from repro.protocol.headers import Sdu
@@ -56,27 +58,28 @@ class NullReceiver(ReceiverErrorControl):
     def __init__(self, connection_id: int, gc_timeout: float = DEFAULT_GC_TIMEOUT):
         self.connection_id = connection_id
         self._reassembler = Reassembler(gc_timeout=gc_timeout)
-        self._gc_timeout = gc_timeout
         self.dropped_messages = 0
 
-    def on_sdu(self, sdu: Sdu, now: float) -> Effects:
+    def on_sdu(
+        self, sdu: Sdu, now: float, out: Optional[Effects] = None
+    ) -> Effects:
+        effects = Effects() if out is None else out
         if sdu.header.connection_id != self.connection_id:
-            return Effects()
+            return effects
         message = self._reassembler.add(sdu, now)
-        effects = Effects()
         if message is not None:
             effects.deliveries.append(message)
-        if self._reassembler.inflight_count:
-            effects.timer_at = now + self._gc_timeout
+        effects.timer_at = self.next_deadline(now)
         return effects
 
     def on_timer(self, now: float) -> Effects:
         stale = self._reassembler.gc(now)
         self.dropped_messages += len(stale)
-        effects = Effects()
-        if self._reassembler.inflight_count:
-            effects.timer_at = now + self._gc_timeout
-        return effects
+        return Effects(timer_at=self.next_deadline(now))
+
+    def next_deadline(self, now: float) -> Optional[float]:
+        """When the oldest partial message turns stale."""
+        return self._reassembler.gc_deadline()
 
     def buffered_bytes(self) -> int:
         return self._reassembler.buffered_bytes

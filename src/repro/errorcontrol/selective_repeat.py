@@ -211,18 +211,20 @@ class SelectiveRepeatReceiver(ReceiverErrorControl):
     def duplicate_count(self) -> int:
         return self._reassembler.duplicate_count
 
-    def on_sdu(self, sdu: Sdu, now: float) -> Effects:
+    def on_sdu(
+        self, sdu: Sdu, now: float, out: Optional[Effects] = None
+    ) -> Effects:
+        effects = Effects() if out is None else out
         header = sdu.header
         if header.connection_id != self.connection_id:
-            return Effects()
+            return effects
         message = self._reassembler.add(sdu, now)
-        effects = Effects()
         if message is not None:
             self._awaiting_retransmit.pop(header.msg_id, None)
             effects.deliveries.extend(
                 self._ordering.push(header.msg_id, message, now)
             )
-            effects.timer_at = self._ordering.next_deadline(now)
+            effects.timer_at = self.next_deadline(now)
             # Completion always triggers an (all-clear) ACK so the sender
             # can retire the message — including the duplicate-end-SDU
             # case where our previous ACK was lost.
@@ -242,8 +244,11 @@ class SelectiveRepeatReceiver(ReceiverErrorControl):
         """Release messages stuck behind an abandoned predecessor."""
         effects = Effects()
         effects.deliveries.extend(self._ordering.release_stale(now))
-        effects.timer_at = self._ordering.next_deadline(now)
+        effects.timer_at = self.next_deadline(now)
         return effects
+
+    def next_deadline(self, now: float) -> Optional[float]:
+        return self._ordering.next_deadline(now)
 
     def held_deliveries(self) -> list:
         """Acked-but-held messages surrendered at connection teardown."""

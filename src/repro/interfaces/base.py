@@ -22,10 +22,10 @@ def frame_bytes(frame) -> bytes:
     """Materialize a wire frame from bytes or a wire-encodable object.
 
     The vectored send path hands interfaces either raw ``bytes`` or an
-    object exposing ``encode() -> bytes`` /
-    ``encode_into(bytearray) -> int`` (an :class:`~repro.protocol.headers.Sdu`);
-    coalescing interfaces use ``encode_into`` to build one contiguous
-    buffer, everything else falls back to this helper.
+    object exposing ``encode() -> bytes`` / ``encode_into(list) -> int``
+    (an :class:`~repro.protocol.headers.Sdu`); gathering interfaces use
+    ``encode_into`` to collect the frame's wire segments without copying
+    its payload, everything else falls back to this helper.
     """
     if isinstance(frame, (bytes, bytearray, memoryview)):
         return bytes(frame)

@@ -9,24 +9,49 @@ exploit the features of NCS").
 
 from __future__ import annotations
 
+import os
 import select
 import socket
 import struct
 import threading
 import time
 from collections import deque
+from itertools import islice
 from typing import Optional
 
-from repro.interfaces.base import CommInterface, InterfaceClosed, frame_bytes
+from repro.interfaces.base import CommInterface, InterfaceClosed
 
 _LEN_FMT = "!I"
-_LEN_SIZE = struct.calcsize(_LEN_FMT)
+_LEN = struct.Struct(_LEN_FMT)
+_LEN_SIZE = _LEN.size
 #: Upper bound on a framed SDU; rejects stream desync garbage early.
 MAX_FRAME = 1 << 24
 
+#: The stream buffer starts small (most endpoints are control links that
+#: only ever see short PDUs), doubles whenever a read fills it, and stops
+#: at 64 KiB.  A longer frame borrows a buffer of exactly its own size,
+#: given back as soon as the frame has been handed up.
+_RX_BUFFER_MIN = 4 * 1024
+_RX_BUFFER_MAX = 64 * 1024
+_NO_BUFFER = memoryview(b"")
+
+try:
+    #: Most segments one ``sendmsg`` may gather.
+    _IOV_MAX = os.sysconf("SC_IOV_MAX")
+except (AttributeError, ValueError, OSError):
+    _IOV_MAX = 16  # the POSIX floor
+
 
 class SciInterface(CommInterface):
-    """One end of a TCP frame stream."""
+    """One end of a TCP frame stream.
+
+    Copies per payload byte in here.  Receive: kernel -> the reused
+    stream buffer (``recv_into``) -> the frame handed up (an owning
+    ``bytes``, so whoever holds or duplicates a frame needs no lifetime
+    rule).  Send: none in user space — a frame goes to ``sendmsg`` as
+    its length prefix, its stored header bytes and a view of the
+    message it was cut from.
+    """
 
     name = "sci"
     max_frame = MAX_FRAME
@@ -56,8 +81,11 @@ class SciInterface(CommInterface):
         self._sock = sock
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
-        self._recv_buffer = b""
-        #: Encoded-but-unsent wire bytes (memoryviews), oldest first.
+        #: Received bytes not yet handed up are ``_rx[_rx_start:_rx_end]``.
+        self._rx = memoryview(bytearray(_RX_BUFFER_MIN))
+        self._rx_start = 0
+        self._rx_end = 0
+        #: Unsent wire segments (bytes / memoryviews), oldest first.
         #: The threaded path drains it synchronously inside the send
         #: call; the event plane drains it from the selector loop.
         self._tx_backlog: deque = deque()
@@ -79,63 +107,75 @@ class SciInterface(CommInterface):
     # -- sending -------------------------------------------------------------
 
     def send(self, frame: bytes) -> None:
-        if self._closed:
-            raise InterfaceClosed("send on closed interface")
-        self.check_frame_size(frame)
-        header = struct.pack(_LEN_FMT, len(frame))
-        with self._send_lock:
-            self._transmit(header + frame)
-        self.sent_frames += 1
-        self.sent_bytes += _LEN_SIZE + len(frame)
+        self.send_many((frame,))
 
     def send_many(self, frames) -> int:
-        """Vectored transmit: one ``sendall`` of a coalesced buffer.
+        """Vectored transmit: the whole batch in one gathered write.
 
-        Every frame's length prefix and body are appended to a single
-        ``bytearray`` (wire-encodable frames write themselves in via
-        ``encode_into``, so an SDU's payload is copied exactly once —
-        into this buffer), then the whole batch rides one blocking
-        socket write instead of one per frame.
+        Each frame contributes its length prefix and its own segments
+        (wire-encodable frames list theirs via ``encode_into``: stored
+        header bytes plus a payload view) to one ``sendmsg``, so a
+        burst costs one syscall and no user-space payload copy.  The
+        call returns once everything is on the stream.
         """
-        if not frames:
-            return 0
-        if len(frames) == 1:
-            self.send(frame_bytes(frames[0]))
-            return 1
-        if self._closed:
-            raise InterfaceClosed("send on closed interface")
-        buf = self._encode_batch(frames)
-        with self._send_lock:
-            self._transmit(buf)
-        self.sent_frames += len(frames)
-        self.sent_bytes += len(buf)
-        self.batched_sends += 1
-        self.batched_frames += len(frames)
+        if frames:
+            self._push(frames, wait=True)
         return len(frames)
 
-    def _encode_batch(self, frames) -> bytearray:
-        """Coalesce ``frames`` (bytes or wire-encodable) into one buffer."""
-        buf = bytearray()
+    def _push(self, frames, wait: bool) -> bool:
+        """Append ``frames`` to the tx backlog and flush it — until
+        drained or dead when ``wait``, else as far as one non-blocking
+        pass gets.  True when the backlog is empty."""
+        if self._closed:
+            raise InterfaceClosed("send on closed interface")
+        segments, nbytes = self._gather(frames)
+        with self._send_lock:
+            self._tx_backlog.extend(segments)
+            self._tx_bytes += nbytes
+            try:
+                drained = self._flush_locked()
+                if wait and not drained:
+                    drained = self._drain_locked()
+            except InterfaceClosed:
+                self._drop_tx()
+                raise
+        if frames:
+            self.sent_frames += len(frames)
+            self.sent_bytes += nbytes
+            if len(frames) > 1:
+                self.batched_sends += 1
+                self.batched_frames += len(frames)
+        return drained
+
+    def _gather(self, frames) -> tuple:
+        """``frames`` (bytes or wire-encodable) as one list of wire
+        segments, each frame behind its length prefix, and the total
+        byte count.  No segment is empty."""
+        segments: list = []
+        nbytes = 0
+        pack = _LEN.pack
+        max_frame = self.max_frame
         for frame in frames:
+            prefix_at = len(segments)
+            segments.append(None)  # the length prefix, known below
             encode_into = getattr(frame, "encode_into", None)
             if encode_into is not None:
-                prefix_at = len(buf)
-                buf += b"\x00\x00\x00\x00"  # length back-patched below
-                size = encode_into(buf)
-                struct.pack_into(_LEN_FMT, buf, prefix_at, size)
+                size = encode_into(segments)
             else:
                 size = len(frame)
-                buf += struct.pack(_LEN_FMT, size)
-                buf += frame
-            if self.max_frame is not None and size > self.max_frame:
+                if size:
+                    segments.append(frame)
+            if max_frame is not None and size > max_frame:
                 raise ValueError(
                     f"{self.name} frame of {size} bytes exceeds the "
-                    f"interface maximum of {self.max_frame}"
+                    f"interface maximum of {max_frame}"
                 )
-        return buf
+            segments[prefix_at] = pack(size)
+            nbytes += _LEN_SIZE + size
+        return segments, nbytes
 
-    def _transmit(self, data) -> None:
-        """Write ``data`` completely or tear the interface down.
+    def _drain_locked(self) -> bool:
+        """Flush the backlog completely or tear the interface down.
 
         Caller holds ``_send_lock``.  Explicit partial-progress tracking
         replaces ``sendall``: a frame either reaches the stream in full
@@ -143,13 +183,11 @@ class SciInterface(CommInterface):
         typed :class:`InterfaceClosed` — a later send can never resume
         mid-frame, so the peer's length-prefixed parser cannot desync.
         """
-        self._tx_backlog.append(memoryview(data))
-        self._tx_bytes += len(data)
         deadline = None
         while True:
             before = self._tx_bytes
             if self._flush_locked():
-                return
+                return True
             if self._tx_bytes < before:
                 deadline = None  # forward progress resets the stall clock
                 continue
@@ -172,26 +210,42 @@ class SciInterface(CommInterface):
     def _flush_locked(self) -> bool:
         """One non-blocking push of the tx backlog; True when drained.
 
-        Caller holds ``_send_lock``.  Progress is tracked per buffer —
+        Caller holds ``_send_lock``.  Progress is tracked per segment —
         a short write leaves the unsent tail as the new backlog head, so
         the next flush resumes exactly where the kernel stopped (within
         one frame, never skipping to the next).
         """
-        while self._tx_backlog:
-            head = self._tx_backlog[0]
+        backlog = self._tx_backlog
+        while backlog:
             try:
-                sent = self._sock.send(head)
+                sent = self._sock.sendmsg(
+                    backlog
+                    if len(backlog) <= _IOV_MAX
+                    else list(islice(backlog, _IOV_MAX))
+                )
             except (BlockingIOError, InterruptedError):
                 return False
             except OSError as exc:
                 self._mark_dead()
                 raise InterfaceClosed(f"peer connection lost: {exc}") from exc
+            if sent == self._tx_bytes:
+                self._drop_tx()  # the usual case: one write took it all
+                return True
             self._tx_bytes -= sent
-            if sent == len(head):
-                self._tx_backlog.popleft()
-            else:
-                self._tx_backlog[0] = head[sent:]
+            while sent:
+                head = backlog[0]
+                if sent >= len(head):
+                    sent -= len(head)
+                    backlog.popleft()
+                else:
+                    backlog[0] = memoryview(head)[sent:]
+                    sent = 0
         return True
+
+    def _drop_tx(self) -> None:
+        """Empty the backlog.  Caller holds ``_send_lock``."""
+        self._tx_backlog.clear()
+        self._tx_bytes = 0
 
     # -- event-plane surface (non-blocking adapters) -------------------------
 
@@ -207,27 +261,11 @@ class SciInterface(CommInterface):
         caller should wait for writability (selector EVENT_WRITE) and
         call :meth:`flush_backlog`.
         """
-        if self._closed:
-            raise InterfaceClosed("send on closed interface")
-        if not frames:
-            return not self._tx_backlog
-        buf = self._encode_batch(frames)
-        with self._send_lock:
-            self._tx_backlog.append(memoryview(buf))
-            self._tx_bytes += len(buf)
-            drained = self._flush_locked()
-        self.sent_frames += len(frames)
-        self.sent_bytes += len(buf)
-        self.batched_sends += 1
-        self.batched_frames += len(frames)
-        return drained
+        return self._push(frames, wait=False)
 
     def flush_backlog(self) -> bool:
         """Push backlogged bytes (non-blocking); True when drained."""
-        if self._closed:
-            raise InterfaceClosed("send on closed interface")
-        with self._send_lock:
-            return self._flush_locked()
+        return self._push((), wait=False)
 
     @property
     def backlog_bytes(self) -> int:
@@ -236,113 +274,114 @@ class SciInterface(CommInterface):
     # -- receiving -----------------------------------------------------------
 
     def recv(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        with self._recv_lock:
-            return self._recv_frame(timeout)
+        frames = self._receive(1, timeout)
+        return frames[0] if frames else None
 
     def try_recv(self) -> Optional[bytes]:
         # Zero timeout => non-blocking poll (the user-level thread rule).
-        with self._recv_lock:
-            return self._recv_frame(0.0)
+        return self.recv(0.0)
 
     def recv_many(self, max_n: int = 64, timeout: Optional[float] = None) -> list:
-        """Drain every complete frame already buffered or readable.
+        """Every complete frame already buffered or readable, up to
+        ``max_n``.
 
-        Blocks up to ``timeout`` for the first frame, then keeps
-        parsing frames out of the stream buffer (topping it up with
-        non-blocking reads) until the socket runs dry or ``max_n`` is
-        reached — one lock round for the whole batch.
+        Blocks up to ``timeout`` for the first frame, then keeps parsing
+        whole buffers of frames (topping the stream buffer up with
+        non-blocking reads) until the socket runs dry — one lock round
+        for the whole batch.
         """
+        return self._receive(max(max_n, 1), timeout)
+
+    def _receive(self, max_n: int, timeout: Optional[float]) -> list:
         with self._recv_lock:
-            if timeout is not None and timeout <= 0:
-                first = self._recv_frame(0.0)
-            else:
-                first = self._recv_frame(timeout)
-            if first is None:
-                return []
-            frames = [first]
-            while len(frames) < max_n:
-                try:
-                    nxt = self._recv_frame(0.0)
-                except InterfaceClosed:
-                    # EOF behind complete frames: deliver what arrived
-                    # first; the interface stays dead, so the caller's
-                    # next receive raises.
-                    break
-                if nxt is None:
-                    break
-                frames.append(nxt)
+            frames = []
+            try:
+                if self._closed:
+                    raise InterfaceClosed("recv on closed interface")
+                frames = self._parse(max_n) or self._await_frames(
+                    max_n, timeout
+                )
+                if frames:
+                    while len(frames) < max_n and self._fill():
+                        frames += self._parse(max_n - len(frames))
+            except InterfaceClosed:
+                self._drop_rx()
+                if not frames:
+                    raise
+                # EOF behind complete frames: deliver what arrived
+                # first; the interface stays dead, so the caller's next
+                # receive raises.
             return frames
 
-    def _recv_frame(self, timeout: Optional[float]) -> Optional[bytes]:
-        if self._closed:
-            raise InterfaceClosed("recv on closed interface")
-        if timeout is not None and timeout <= 0:
-            return self._recv_frame_nonblocking()
-        length_bytes = self._read_exact(_LEN_SIZE, timeout)
-        if length_bytes is None:
-            return None
-        (length,) = struct.unpack(_LEN_FMT, length_bytes)
-        if length > MAX_FRAME:
-            raise InterfaceClosed(f"insane frame length {length}: stream desync")
-        # The header committed us to a frame; finish it regardless of the
-        # caller's timeout so the stream cannot desynchronize on a partial
-        # read — but bound the wait: a peer that died mid-frame leaves a
-        # stream that can never resynchronize, so past the deadline the
-        # interface is declared dead rather than wedging the thread.
-        deadline = time.monotonic() + self.mid_frame_timeout
-        frame = None
-        while frame is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.mid_frame_stalls += 1
+    def _parse(self, limit: int) -> list:
+        """Up to ``limit`` complete frames off the front of the stream
+        buffer in one pass, each copied out as an owning ``bytes``.
+
+        Caller holds ``_recv_lock``.  The cursor stops at the first
+        incomplete frame, and the buffer is left able to hold all of it.
+        """
+        rx = self._rx
+        start, end = self._rx_start, self._rx_end
+        unpack_from = _LEN.unpack_from
+        frames = []
+        needed = 0
+        while len(frames) < limit and end - start >= _LEN_SIZE:
+            (length,) = unpack_from(rx, start)
+            if length > MAX_FRAME:
+                if frames:
+                    break  # hand up what precedes it; the next call raises
                 self._mark_dead()
                 raise InterfaceClosed(
-                    f"peer stalled mid-frame ({length}-byte frame unfinished "
-                    f"after {self.mid_frame_timeout}s)"
+                    f"insane frame length {length}: stream desync"
                 )
-            frame = self._read_exact(length, min(remaining, 0.25))
-        self.received_frames += 1
-        self.received_bytes += _LEN_SIZE + len(frame)
-        return frame
+            body = start + _LEN_SIZE
+            if end - body < length:
+                needed = _LEN_SIZE + length
+                break
+            frames.append(bytes(rx[body : body + length]))
+            start = body + length
+        self.received_frames += len(frames)
+        self.received_bytes += start - self._rx_start
+        if start == end:
+            start = end = 0
+            if len(rx) > _RX_BUFFER_MAX:
+                self._resize_rx(_RX_BUFFER_MAX, 0, 0)  # the long frame is done
+        elif needed > len(rx):
+            self._resize_rx(needed, start, end)
+            start, end = 0, end - start
+        self._rx_start, self._rx_end = start, end
+        return frames
 
-    def _recv_frame_nonblocking(self) -> Optional[bytes]:
-        """Zero-timeout receive: parse only *complete* frames, no waits.
+    def _resize_rx(self, size: int, start: int, end: int) -> None:
+        """Swap in a ``size``-byte stream buffer, the present one's
+        ``[start:end]`` at its front."""
+        rx = memoryview(bytearray(size))
+        rx[: end - start] = self._rx[start:end]
+        self._rx = rx
 
-        A frame split across kernel writes (the sender's tail bytes
-        parked in its tx backlog behind a busy loop) simply stays in the
-        stream buffer until the rest arrives — it must NOT start the
-        mid-frame death clock.  Under a connection storm the old
-        behaviour wedged the caller in bounded selects (convoying the
-        event loop) and then tore down a merely *slow* peer as dead; on
-        TCP the only trustworthy death signals for this path are EOF and
-        a socket error, both raised from the buffer top-up.
-        """
-        while True:
-            buffered = len(self._recv_buffer)
-            if buffered >= _LEN_SIZE:
-                (length,) = struct.unpack_from(_LEN_FMT, self._recv_buffer)
-                if length > MAX_FRAME:
-                    raise InterfaceClosed(
-                        f"insane frame length {length}: stream desync"
-                    )
-                if buffered >= _LEN_SIZE + length:
-                    frame = self._recv_buffer[_LEN_SIZE:_LEN_SIZE + length]
-                    self._recv_buffer = self._recv_buffer[_LEN_SIZE + length:]
-                    self.received_frames += 1
-                    self.received_bytes += _LEN_SIZE + len(frame)
-                    return frame
-            if not self._fill_buffer_once():
-                return None
+    def _drop_rx(self) -> None:
+        """Let go of the stream buffer.  Caller holds ``_recv_lock``."""
+        self._rx = _NO_BUFFER
+        self._rx_start = self._rx_end = 0
 
-    def _fill_buffer_once(self) -> bool:
+    def _fill(self) -> bool:
         """One non-blocking socket read into the stream buffer.
 
-        True if bytes landed; False when the socket has nothing ready.
-        EOF and socket errors raise :class:`InterfaceClosed` with the
-        same semantics as the blocking path.
+        Caller holds ``_recv_lock`` and has parsed every complete frame,
+        so less than one frame is buffered: it moves to the front and
+        the read gets the rest of the buffer.  True if bytes landed;
+        False when the socket has nothing ready.  EOF and socket errors
+        raise :class:`InterfaceClosed`.
         """
+        rx = self._rx
+        start, end = self._rx_start, self._rx_end
+        if start:
+            tail = bytes(rx[start:end])
+            end = len(tail)
+            rx[:end] = tail
+            self._rx_start, self._rx_end = 0, end
         try:
-            chunk = self._sock.recv(65536)
+            got = self._sock.recv_into(rx[end:])
         except (BlockingIOError, InterruptedError):
             return False
         except OSError as exc:
@@ -350,69 +389,77 @@ class SciInterface(CommInterface):
                 raise InterfaceClosed("recv on closed interface") from exc
             self._mark_dead()
             raise InterfaceClosed(f"peer connection lost: {exc}") from exc
-        if not chunk:
+        if not got:
+            # Mark the interface dead so holders of a cached link (the
+            # node's control-link table) re-dial instead of reusing a
+            # half-closed stream.
             self._mark_dead()
-            if self._recv_buffer:
+            if end:
                 raise InterfaceClosed("peer closed mid-frame")
             raise InterfaceClosed("peer closed the connection")
-        self._recv_buffer += chunk
+        end += got
+        self._rx_end = end
+        if end == len(rx) and end < _RX_BUFFER_MAX:
+            # The socket had at least a bufferful: read more next time.
+            self._resize_rx(min(2 * end, _RX_BUFFER_MAX), 0, end)
         return True
 
-    def _read_exact(self, count: int, timeout: Optional[float]) -> Optional[bytes]:
-        """Read exactly ``count`` bytes, buffering partial data across
-        timeouts so a slow sender never desynchronizes the stream.
+    def _await_frames(self, limit: int, timeout: Optional[float]) -> list:
+        """Read until a complete frame is buffered and parse up to
+        ``limit``; ``[]`` when none arrived within ``timeout``.
 
-        Waits are explicit ``select()`` calls on the non-blocking socket
-        (never ``settimeout``, which would leak a timeout onto the shared
-        socket and poison a concurrent send path).
+        Caller holds ``_recv_lock`` and found no complete frame.  A zero
+        ``timeout`` never waits, so a frame split across kernel writes
+        (the sender's tail parked in its tx backlog behind a busy loop)
+        simply stays buffered and does NOT start the mid-frame death
+        clock: on TCP the only trustworthy death signals for that path
+        are EOF and a socket error.  A blocking call waits up to
+        ``timeout`` for the length prefix; the prefix commits it to the
+        frame, which it finishes regardless of ``timeout`` so the stream
+        cannot desynchronize on a partial read — but within
+        ``mid_frame_timeout``: a peer that died mid-frame leaves a
+        stream that can never resynchronize, so past that the interface
+        is declared dead rather than wedging the thread.
         """
-        deadline = (
-            None if timeout is None else time.monotonic() + max(timeout, 0.0)
-        )
-        while len(self._recv_buffer) < count:
+        poll = timeout is not None and timeout <= 0
+        give_up = None if timeout is None else time.monotonic() + timeout
+        stall_deadline = None
+        while True:
+            if self._fill():
+                frames = self._parse(limit)
+                if frames:
+                    return frames
+                continue
+            if poll:
+                return []
+            now = time.monotonic()
+            committed = self._rx_end - self._rx_start >= _LEN_SIZE
+            if committed:
+                if stall_deadline is None:
+                    stall_deadline = now + self.mid_frame_timeout
+                deadline = stall_deadline
+            else:
+                deadline = give_up
+            if deadline is not None and now >= deadline:
+                if not committed:
+                    return []
+                self.mid_frame_stalls += 1
+                self._mark_dead()
+                (length,) = _LEN.unpack_from(self._rx, self._rx_start)
+                raise InterfaceClosed(
+                    f"peer stalled mid-frame ({length}-byte frame unfinished "
+                    f"after {self.mid_frame_timeout}s)"
+                )
+            wait = 0.25 if deadline is None else min(deadline - now, 0.25)
             try:
-                chunk = self._sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                chunk = None  # nothing buffered: wait for readability below
-            except OSError as exc:
+                select.select([self._sock], [], [], wait)
+            except (OSError, ValueError) as exc:
                 if self._closed:
                     raise InterfaceClosed("recv on closed interface") from exc
                 self._mark_dead()
-                raise InterfaceClosed(f"peer connection lost: {exc}") from exc
-            if chunk is None:
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    wait = min(remaining, 0.25)
-                else:
-                    wait = 0.25
-                try:
-                    ready, _, _ = select.select([self._sock], [], [], wait)
-                except (OSError, ValueError) as exc:
-                    if self._closed:
-                        raise InterfaceClosed(
-                            "recv on closed interface"
-                        ) from exc
-                    self._mark_dead()
-                    raise InterfaceClosed(f"socket lost: {exc}") from exc
-                if not ready and deadline is not None and (
-                    time.monotonic() >= deadline
-                ):
-                    return None
-                continue
-            if not chunk:
-                # Mark the interface dead so holders of a cached link (the
-                # node's control-link table) re-dial instead of reusing a
-                # half-closed stream.
-                self._mark_dead()
-                if self._recv_buffer:
-                    raise InterfaceClosed("peer closed mid-frame")
-                raise InterfaceClosed("peer closed the connection")
-            self._recv_buffer += chunk
-        data = self._recv_buffer[:count]
-        self._recv_buffer = self._recv_buffer[count:]
-        return data
+                raise InterfaceClosed(f"socket lost: {exc}") from exc
+
+    # -- teardown ------------------------------------------------------------
 
     def _mark_dead(self) -> None:
         """Record a transport failure: flag closed and drop the socket."""
@@ -423,6 +470,7 @@ class SciInterface(CommInterface):
             self._sock.close()
         except OSError:
             pass
+        self._release_buffers()
 
     def close(self) -> None:
         if self._closed:
@@ -433,6 +481,27 @@ class SciInterface(CommInterface):
         except OSError:
             pass
         self._sock.close()
+        self._release_buffers()
+
+    def _release_buffers(self) -> None:
+        """Stop a dead endpoint pinning its stream buffer and backlog:
+        closed connections sit in reference cycles, so whatever this
+        object still holds is resident until the cyclic GC next runs.
+
+        Each is dropped under the lock that guards it, taken without
+        waiting: a side whose lock is busy is inside a call, which the
+        closed socket fails with :class:`InterfaceClosed` — and every
+        such exit drops that side's own buffer.
+        """
+        for lock, drop in (
+            (self._recv_lock, self._drop_rx),
+            (self._send_lock, self._drop_tx),
+        ):
+            if lock.acquire(blocking=False):
+                try:
+                    drop()
+                finally:
+                    lock.release()
 
     @property
     def closed(self) -> bool:
@@ -443,6 +512,8 @@ class SciInterface(CommInterface):
         data["mid_frame_stalls"] = self.mid_frame_stalls
         data["partial_write_teardowns"] = self.partial_write_teardowns
         data["backlog_bytes"] = self._tx_bytes
+        data["rx_buffered_bytes"] = self._rx_end - self._rx_start
+        data["rx_buffer_capacity"] = len(self._rx)
         return data
 
 

@@ -9,7 +9,6 @@ tracks a per-SDU status bitmap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.protocol.headers import Sdu
@@ -55,38 +54,39 @@ def segment_message(
     if span_id is None:
         span_id = (msg_id & 0xFFFFFFFF) if trace_id else 0
     # memoryview slices alias the message instead of copying each chunk;
-    # the bytes are copied exactly once, when an interface serializes
-    # the SDU into its wire buffer.
+    # no payload byte is copied before an interface puts it on its wire.
     view = memoryview(payload)
-    chunks = [view[i : i + sdu_size] for i in range(0, len(payload), sdu_size)]
-    if not chunks:
-        chunks = [b""]
-    total = len(chunks)
+    total = max(1, -(-len(payload) // sdu_size))
+    last = total - 1
+    build = Sdu.build
     return [
-        Sdu.build(
-            connection_id=connection_id,
-            msg_id=msg_id,
-            seqno=seqno,
-            total_sdus=total,
-            payload=chunk,
-            end_bit=(seqno == total - 1),
-            trace_id=trace_id,
-            span_id=span_id,
+        build(
+            connection_id, msg_id, seqno, total,
+            view[seqno * sdu_size : (seqno + 1) * sdu_size],
+            seqno == last, trace_id, span_id,
         )
-        for seqno, chunk in enumerate(chunks)
+        for seqno in range(total)
     ]
 
 
-@dataclass
 class ReassemblyState:
     """Receiver-side state for one in-flight message."""
 
-    msg_id: int
-    total_sdus: int
-    bitmap: AckBitmap
-    fragments: Dict[int, bytes] = field(default_factory=dict)
-    #: Clock reading when the first SDU arrived; used by garbage collection.
-    started_at: float = 0.0
+    __slots__ = (
+        "msg_id", "total_sdus", "bitmap", "fragments", "received_bytes",
+        "started_at",
+    )
+
+    def __init__(self, msg_id: int, total_sdus: int, started_at: float = 0.0):
+        self.msg_id = msg_id
+        self.total_sdus = total_sdus
+        self.bitmap = AckBitmap(total_sdus, all_set=True)
+        #: Payload of SDU ``i`` at index ``i``; None until it arrives.
+        self.fragments: list = [None] * total_sdus
+        #: Payload bytes held in ``fragments``.
+        self.received_bytes = 0
+        #: Clock reading when the first SDU arrived; used by garbage collection.
+        self.started_at = started_at
 
     def complete(self) -> bool:
         return self.bitmap.all_received()
@@ -98,7 +98,7 @@ class ReassemblyState:
             raise RuntimeError(
                 f"message {self.msg_id} incomplete, missing SDUs {missing}"
             )
-        return b"".join(self.fragments[i] for i in range(self.total_sdus))
+        return b"".join(self.fragments)
 
 
 class DuplicateSduError(Exception):
@@ -142,24 +142,18 @@ class Reassembler:
     def add(self, sdu: Sdu, now: float = 0.0) -> Optional[bytes]:
         """Merge one SDU; return the whole message if now complete."""
         header = sdu.header
-        if header.msg_id in self._completed or (
-            header.msg_id <= self._completed_floor
-            and header.msg_id not in self._inflight
-        ):
-            self.duplicate_count += 1  # late retransmit of a finished message
-            return None
-        state = self._inflight.get(header.msg_id)
+        msg_id = header.msg_id
+        state = self._inflight.get(msg_id)
         if state is None:
-            state = ReassemblyState(
-                msg_id=header.msg_id,
-                total_sdus=header.total_sdus,
-                bitmap=AckBitmap(header.total_sdus, all_set=True),
-                started_at=now,
+            if msg_id in self._completed or msg_id <= self._completed_floor:
+                self.duplicate_count += 1  # late retransmit of a finished message
+                return None
+            state = self._inflight[msg_id] = ReassemblyState(
+                msg_id, header.total_sdus, now
             )
-            self._inflight[header.msg_id] = state
         if header.total_sdus != state.total_sdus:
             raise DuplicateSduError(
-                f"msg {header.msg_id}: inconsistent total_sdus "
+                f"msg {msg_id}: inconsistent total_sdus "
                 f"({header.total_sdus} vs {state.total_sdus})"
             )
         if not sdu.payload_intact():
@@ -167,24 +161,23 @@ class Reassembler:
             # (paper Fig. 5) and will be selectively retransmitted.
             self.corrupted_count += 1
             return None
-        if not state.bitmap.is_pending(header.seqno):
+        if not state.bitmap.mark_received(header.seqno):
             self.duplicate_count += 1  # benign duplicate (retransmit race)
             return None
-        state.fragments[header.seqno] = sdu.payload
-        state.bitmap.mark_received(header.seqno)
-        self.buffered_bytes += len(sdu.payload)
-        if state.complete():
-            self.buffered_bytes -= sum(
-                len(fragment) for fragment in state.fragments.values()
-            )
-            del self._inflight[header.msg_id]
-            self._completed[header.msg_id] = None
-            while len(self._completed) > self.COMPLETED_MEMORY:
-                evicted = next(iter(self._completed))
-                self._completed.pop(evicted)
-                self._completed_floor = max(self._completed_floor, evicted)
-            return state.assemble()
-        return None
+        payload = sdu.payload
+        state.fragments[header.seqno] = payload
+        state.received_bytes += len(payload)
+        self.buffered_bytes += len(payload)
+        if not state.complete():
+            return None
+        self.buffered_bytes -= state.received_bytes
+        del self._inflight[msg_id]
+        self._completed[msg_id] = None
+        while len(self._completed) > self.COMPLETED_MEMORY:
+            evicted = next(iter(self._completed))
+            self._completed.pop(evicted)
+            self._completed_floor = max(self._completed_floor, evicted)
+        return state.assemble()
 
     def bitmap_for(self, msg_id: int, total_sdus: int) -> AckBitmap:
         """Current ACK bitmap for ``msg_id``.
@@ -219,18 +212,24 @@ class Reassembler:
         """
         if self._gc_timeout is None:
             return []
+        # Epsilon: a timer firing "exactly" at gc_deadline() must count.
         stale = [
             msg_id
             for msg_id, state in self._inflight.items()
-            if now - state.started_at > self._gc_timeout
+            if now - state.started_at >= self._gc_timeout - 1e-9
         ]
         for msg_id in stale:
-            self.buffered_bytes -= sum(
-                len(fragment)
-                for fragment in self._inflight[msg_id].fragments.values()
-            )
-            del self._inflight[msg_id]
+            self.buffered_bytes -= self._inflight.pop(msg_id).received_bytes
         return stale
+
+    def gc_deadline(self) -> Optional[float]:
+        """When the oldest in-flight message turns stale (None: nothing
+        in flight, or no ``gc_timeout``)."""
+        if self._gc_timeout is None or not self._inflight:
+            return None
+        # Insertion order is arrival order, so the first state is oldest.
+        oldest = next(iter(self._inflight.values()))
+        return oldest.started_at + self._gc_timeout
 
     @property
     def inflight_count(self) -> int:

@@ -34,10 +34,17 @@ class AckBitmap:
         """Number of SDU slots tracked by this bitmap."""
         return self._size
 
-    def mark_received(self, seqno: int) -> None:
-        """Clear the bit for ``seqno`` (SDU received without error)."""
+    def mark_received(self, seqno: int) -> bool:
+        """Clear the bit for ``seqno`` (SDU received without error).
+
+        False when the bit was already clear — the SDU is a duplicate.
+        """
         self._check(seqno)
-        self._bits &= ~(1 << seqno)
+        bit = 1 << seqno
+        if not self._bits & bit:
+            return False
+        self._bits ^= bit
+        return True
 
     def mark_error(self, seqno: int) -> None:
         """Set the bit for ``seqno`` (SDU missing or corrupted)."""

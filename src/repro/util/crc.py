@@ -11,6 +11,8 @@ detect errors within the AAL5 frames").
 
 from __future__ import annotations
 
+import zlib
+
 
 def _build_crc32_table() -> list[int]:
     poly = 0xEDB88320  # 0x04C11DB7 bit-reflected
@@ -42,8 +44,6 @@ def crc32_aal5(data: bytes, crc: int = 0xFFFFFFFF) -> int:
     :func:`crc32_aal5_reference` keeps the table-driven form the tests
     validate against.
     """
-    import zlib
-
     # zlib chains on the *finalized* previous value; our ``crc`` argument
     # is the raw register, so re-invert at the boundary.
     return zlib.crc32(data, crc ^ 0xFFFFFFFF)

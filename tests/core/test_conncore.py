@@ -14,6 +14,7 @@ from repro.core.conncore import ConnectionCore
 from repro.core.handles import SendHandle
 from repro.pressure import MemoryBudget, PressureConfig
 from repro.protocol.pdus import CreditPdu, CreditResyncPdu
+from repro.protocol.segmentation import segment_message
 
 SDU = 4096
 
@@ -275,3 +276,43 @@ class TestOneDeliveryFunction:
         assert receiver.bytes_received == 1
         events = [e for e in recorder.snapshot() if e["name"] == "deliver"]
         assert len(events) == 1 and events[0]["messages"] == 1
+
+
+class TestReceiverDeadline:
+    """``recv_deadline`` is the receiver engine's deadline after the
+    batch, not the ``timer_at`` of whichever SDU happened to come last."""
+
+    @staticmethod
+    def frames(*messages):
+        # (msg_id, SDU count) -> the first SDU of each message, encoded.
+        return [
+            segment_message(1, msg_id, bytes([msg_id]) * (count * SDU), SDU)[0]
+            .encode()
+            for msg_id, count in messages
+        ]
+
+    @pytest.mark.parametrize("ec", ["selective_repeat", "go_back_n"])
+    @pytest.mark.parametrize("trailing", [(), ((3, 3),)])
+    def test_a_later_sdu_does_not_disarm_the_gap_timer(self, ec, trailing):
+        core = ConnectionCore(1, ConnectionConfig(error_control=ec))
+        # Message 1 (three SDUs) stays incomplete; message 2 completes
+        # and is held behind it; message 3's first SDU completes nothing.
+        out = core.on_frames(self.frames((1, 3), (2, 1), *trailing), 10.0)
+        assert out.deliveries == []
+        assert out.timer_at == core.recv_deadline == core.next_deadline
+        assert core.recv_deadline == pytest.approx(12.0)
+        assert core.on_recv_timer(11.9).deliveries == []
+        assert core.on_recv_timer(12.0).deliveries == [bytes([2]) * SDU]
+        assert core.recv_deadline is None
+
+    def test_unreliable_gc_deadline_tracks_the_oldest_partial_message(self):
+        core = ConnectionCore(1, ConnectionConfig(error_control="none"))
+        core.on_frames(self.frames((1, 3)), 10.0)
+        assert core.recv_deadline == pytest.approx(12.0)
+        # Later traffic must not push the stale message's GC out.
+        out = core.on_frames(self.frames((2, 1), (3, 3)), 11.0)
+        assert out.deliveries == [bytes([2]) * SDU]
+        assert core.recv_deadline == pytest.approx(12.0)
+        core.on_recv_timer(12.0)
+        assert core.ec_receiver.dropped_messages == 1
+        assert core.recv_deadline == pytest.approx(13.0)

@@ -231,6 +231,37 @@ class TestPartialWrite:
         a.close()
         b.close()
 
+    def test_slow_reader_multi_frame_burst_lands_whole(self):
+        """The same, for a gathered burst: 64 SDUs (a prefix, a header
+        and a payload segment each) through 8 KB kernel buffers stop
+        short dozens of times, wherever the kernel pleases; every frame
+        must still reach the peer's parser whole and in order."""
+        from repro.protocol.segmentation import segment_message
+
+        a, b = throttled_sci_pair()
+        a.send_stall_timeout = 0.4
+        sdus = segment_message(3, 1, bytes(range(256)) * 1024, 4096, trace_id=9)
+        assert len(sdus) == 64
+        received = []
+
+        def slow_read():
+            while len(received) < len(sdus):
+                frames = b.recv_many(4, timeout=5.0)
+                if not frames:
+                    break
+                received.extend(frames)
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=slow_read, daemon=True)
+        thread.start()
+        assert a.send_many(sdus) == len(sdus)
+        thread.join(30.0)
+        assert received == [sdu.encode() for sdu in sdus]
+        assert a.partial_write_teardowns == 0
+        assert a.backlog_bytes == 0
+        a.close()
+        b.close()
+
     def test_queue_frames_backlog_then_flush(self):
         """The event-plane surface: ``queue_frames`` never blocks — it
         reports an unflushed backlog, and ``flush_backlog`` completes
@@ -325,7 +356,7 @@ class TestNonBlockingPartialFrame:
         payload = bytes(range(256)) * 4
         a._sock.sendall(struct.pack(_LEN_FMT, len(payload)) + payload[:100])
         deadline = time.monotonic() + 2.0
-        while len(b._recv_buffer) < _LEN_SIZE + 100:
+        while b.metrics()["rx_buffered_bytes"] < _LEN_SIZE + 100:
             assert b.try_recv() is None
             assert time.monotonic() < deadline, "prefix never buffered"
         # Stable: repeated polls neither consume, block, nor kill.
@@ -378,7 +409,7 @@ class TestNonBlockingPartialFrame:
         a, b = pair
         a._sock.sendall(struct.pack(_LEN_FMT, 500) + b"\x03" * 20)
         time.sleep(0.05)
-        while b.try_recv() is None and not b._recv_buffer:
+        while b.try_recv() is None and not b.metrics()["rx_buffered_bytes"]:
             time.sleep(0.01)
         a._sock.close()
         deadline = time.monotonic() + 2.0

@@ -10,6 +10,12 @@ from repro.protocol.pdus import (
     CumAckPdu,
     decode_control_pdu,
 )
+from repro.protocol.segmentation import (
+    MAX_SDU_SIZE,
+    MIN_SDU_SIZE,
+    Reassembler,
+    segment_message,
+)
 from repro.util.bitmap import AckBitmap
 from repro.util.codec import XdrDecoder, XdrEncoder
 
@@ -111,3 +117,88 @@ def test_xdr_stream_roundtrip(values):
         else:
             assert decoder.unpack_string() == value
     assert decoder.done()
+
+
+SDU_SIZES = st.one_of(
+    st.sampled_from([MIN_SDU_SIZE, MAX_SDU_SIZE]),
+    st.integers(MIN_SDU_SIZE, MAX_SDU_SIZE),
+)
+
+
+@st.composite
+def messages(draw):
+    """(payload, sdu_size): zero-length, exact multiples of the SDU
+    size and ragged tails all come up."""
+    sdu_size = draw(SDU_SIZES)
+    whole = draw(st.integers(0, 3))
+    tail = draw(st.sampled_from([0, 0, 1, sdu_size - 1]))
+    seed = draw(st.integers(0, 250))
+    size = whole * sdu_size + tail
+    pattern = bytes((seed + i) % 251 for i in range(251))
+    return (pattern * (size // 251 + 1))[:size], sdu_size
+
+
+def over_the_wire(sdu, gathered: bool) -> bytes:
+    if not gathered:
+        return sdu.encode()
+    segments = []
+    assert sdu.encode_into(segments) == sdu.wire_size
+    return b"".join(segments)
+
+
+@given(message=messages(), traced=st.booleans(), gathered=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_message_survives_segment_encode_decode_reassemble(
+    message, traced, gathered
+):
+    payload, sdu_size = message
+    sdus = segment_message(
+        3, 11, payload, sdu_size, trace_id=0xFEED if traced else 0
+    )
+    assert len(sdus) == max(1, -(-len(payload) // sdu_size))
+    reassembler = Reassembler()
+    result = None
+    for sdu in sdus:
+        frame = over_the_wire(sdu, gathered)
+        assert len(frame) == sdu.wire_size
+        decoded = Sdu.decode(frame)
+        assert decoded.header == sdu.header
+        assert decoded.header.trace_id == (0xFEED if traced else 0)
+        assert result is None
+        result = reassembler.add(decoded)
+    assert result == payload
+    assert reassembler.buffered_bytes == 0
+    assert (reassembler.corrupted_count, reassembler.duplicate_count) == (0, 0)
+
+
+@given(message=messages(), victim=st.integers(0, 1 << 16), bit=st.integers(0, 7))
+@settings(max_examples=60, deadline=None)
+def test_flipped_payload_bit_is_rejected_and_duplicates_are_counted(
+    message, victim, bit
+):
+    payload, sdu_size = message
+    sdus = segment_message(3, 11, payload or b"x", sdu_size)
+    frames = [sdu.encode() for sdu in sdus]
+    index = victim % len(frames)
+    damaged = bytearray(frames[index])
+    offset = sdus[index].header.header_size + victim % len(sdus[index].payload)
+    damaged[offset] ^= 1 << bit
+    reassembler = Reassembler()
+    results = [
+        reassembler.add(Sdu.decode(bytes(damaged) if i == index else frame))
+        for i, frame in enumerate(frames)
+    ]
+    # The CRC caught it: the message is still waiting for that SDU...
+    assert results == [None] * len(frames)
+    assert reassembler.corrupted_count == 1
+    assert reassembler.bitmap_for(11, len(sdus)).pending() == [index]
+    # ...an SDU it already holds is a counted duplicate...
+    if len(frames) > 1:
+        other = (index + 1) % len(frames)
+        assert reassembler.add(Sdu.decode(frames[other])) is None
+        assert reassembler.duplicate_count == 1
+    # ...and the intact retransmission completes it.
+    assert reassembler.add(Sdu.decode(frames[index])) == (payload or b"x")
+    duplicates = reassembler.duplicate_count
+    assert reassembler.add(Sdu.decode(frames[index])) is None
+    assert reassembler.duplicate_count == duplicates + 1

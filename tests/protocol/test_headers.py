@@ -100,3 +100,38 @@ class TestSdu:
         frame[-1] ^= 0x10
         sdu = Sdu.decode(bytes(frame))
         assert not sdu.payload_intact()
+
+
+class TestWireFormatIsFrozen:
+    """Bytes produced before the header became a slotted value object
+    with precompiled codecs; the wire must not have moved."""
+
+    UNTRACED = (
+        "4e430101" "01020304" "00000005" "00000006" "00000007" "00000008"
+        "f3f43752" "7061796c6f616421"
+    )
+    TRACED = (
+        "4e430102" "01020304" "00000005" "00000006" "00000007" "00000008"
+        "f3f43752" "1122334455667788" "99aabbcc" "7061796c6f616421"
+    )
+
+    def build(self, traced):
+        if not traced:
+            return Sdu.build(0x01020304, 5, 6, 7, b"payload!", True)
+        return Sdu.build(
+            0x01020304, 5, 6, 7, b"payload!", False,
+            trace_id=0x1122334455667788, span_id=0x99AABBCC,
+        )
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_golden_bytes(self, traced):
+        golden = bytes.fromhex(self.TRACED if traced else self.UNTRACED)
+        sdu = self.build(traced)
+        assert sdu.encode() == golden
+        segments = []
+        assert sdu.encode_into(segments) == len(golden) == sdu.wire_size
+        assert b"".join(segments) == golden
+        assert sdu.header.encode() == golden[:-8]
+        # ...and an SDU that was decoded, not built, encodes the same.
+        again = Sdu.decode(golden)
+        assert again == sdu and again.encode() == golden

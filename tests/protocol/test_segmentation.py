@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.protocol.headers import Sdu
 from repro.protocol.segmentation import (
     DEFAULT_SDU_SIZE,
     MAX_SDU_SIZE,
@@ -178,11 +179,9 @@ class TestReassembly:
         reassembler = Reassembler()
         # One arrived SDU of the giant message puts it in flight without
         # allocating 64 MB of payload.
-        from dataclasses import replace
-
         sdu = segment_message(5, 1, b"x" * DEFAULT_SDU_SIZE, DEFAULT_SDU_SIZE)[0]
-        sdu = replace(
-            sdu, header=replace(sdu.header, total_sdus=total_sdus, end_bit=False)
+        sdu = Sdu(
+            sdu.header.replace(total_sdus=total_sdus, end_bit=False), sdu.payload
         )
         reassembler.add(sdu)
         live = reassembler.state_of(1).bitmap

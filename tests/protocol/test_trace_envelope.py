@@ -55,9 +55,9 @@ class TestHeaderExtension:
 
     def test_encode_into_matches_encode(self):
         for sdu in (_sdu(), _sdu(trace_id=7, span_id=3)):
-            buf = bytearray()
-            sdu.encode_into(buf)
-            assert bytes(buf) == sdu.encode()
+            segments = []
+            assert sdu.encode_into(segments) == sdu.wire_size
+            assert b"".join(segments) == sdu.encode()
 
     def test_truncated_extension_raises(self):
         wire = _sdu(trace_id=5).encode()
