@@ -212,27 +212,53 @@ class ConnectionCore:
         return self._chain(effects, now, stamp)
 
     def on_control(self, pdu, now: float, stamp=None) -> Effects:
-        """A credit or acknowledgment arrived from the peer."""
-        if isinstance(pdu, CreditPdu):
-            self._recorder.record(
-                "flow", "credit", conn=self.conn_id, credits=pdu.credits
-            )
-            self.fc_sender.on_control(pdu, now)
-            return self._pump(Effects(), now, stamp)
-        if not isinstance(pdu, _ACKS):
-            return Effects(timer_at=self.sender_deadline)
-        self._recorder.record(
-            "error", "ack", conn=self.conn_id, msg=pdu.msg_id,
-            trace=self.trace_of(pdu.msg_id),
-        )
-        effects = self.ec_sender.on_control(pdu, now)
-        if effects.transmits and (
-            getattr(self.ec_sender, "last_retransmit_at", -1.0) == now
-        ):
-            # Selective retransmissions; go-back-N window refills
-            # transmit *new* SDUs and leave last_retransmit_at alone.
-            self._record_retransmit(effects, "ack")
-        return self._chain(effects, now, stamp)
+        """A credit or acknowledgment arrived from the peer (the one-PDU
+        form of :meth:`on_controls`)."""
+        return self.on_controls((pdu,), now, stamp)
+
+    def on_controls(self, pdus, now: float, stamp=None) -> Effects:
+        """A run of credits and acknowledgments arrived from the peer.
+
+        Each reaches its engine in arrival order and the run ends in
+        one flow-control pump, so an ACK and the credit that rode in
+        with it cost one decision, not two.  Between PDUs the pump runs
+        only while SDUs are gated behind flow control — with nothing
+        queued it would release nothing and show the engine nothing —
+        so a gated sender sees every PDU exactly as if it had arrived
+        alone (its stall and resync clocks start at a blocked pull).
+        """
+        out = Effects()
+        released: list = []
+        last = len(pdus) - 1
+        for index, pdu in enumerate(pdus):
+            if isinstance(pdu, CreditPdu):
+                self._recorder.record(
+                    "flow", "credit", conn=self.conn_id, credits=pdu.credits
+                )
+                self.fc_sender.on_control(pdu, now)
+            elif isinstance(pdu, _ACKS):
+                self._recorder.record(
+                    "error", "ack", conn=self.conn_id, msg=pdu.msg_id,
+                    trace=self.trace_of(pdu.msg_id),
+                )
+                effects = self.ec_sender.on_control(pdu, now)
+                if effects.transmits and (
+                    getattr(self.ec_sender, "last_retransmit_at", -1.0) == now
+                ):
+                    # Selective retransmissions; go-back-N window refills
+                    # transmit *new* SDUs and leave last_retransmit_at
+                    # alone.
+                    self._record_retransmit(effects, "ack")
+                self._offer(effects, stamp)
+                # (Its SDUs now wait behind flow control: the pump, not
+                # the merge, decides ``out.transmits``.)
+                out.merge(effects)
+            if index < last and self.fc_sender.queued():
+                released += self._pump(out, now, stamp).transmits
+        self._pump(out, now, stamp)
+        if released:
+            out.transmits = released + out.transmits
+        return out
 
     def on_timer(self, now: float, stamp=None) -> Effects:
         """The sender deadline passed.
@@ -261,6 +287,12 @@ class ConnectionCore:
 
     def _chain(self, effects: Effects, now: float, stamp) -> Effects:
         """Error control's effects -> flow control offer -> pump."""
+        self._offer(effects, stamp)
+        return self._pump(effects, now, stamp)
+
+    def _offer(self, effects: Effects, stamp) -> None:
+        """Take in one error-control decision: its SDUs queue behind
+        flow control, its finished sends resolve, its deadline stands."""
         self._ec_timer_at = effects.timer_at
         if effects.transmits:
             self.fc_sender.offer(effects.transmits)
@@ -270,7 +302,6 @@ class ConnectionCore:
             self._resolve(msg_id, SendStatus.COMPLETED)
         for msg_id in effects.failed:
             self._resolve(msg_id, SendStatus.FAILED)
-        return self._pump(effects, now, stamp)
 
     def _pump(self, out: Effects, now: float, stamp) -> Effects:
         """Release whatever flow control currently allows (Fig. 7 step

@@ -634,7 +634,7 @@ class Connection:
     # ------------------------------------------------------------------
 
     def on_control_pdu(self, pdu: ControlPdu) -> None:
-        """Route an inbound control PDU for this connection."""
+        """Route one inbound control PDU for this connection."""
         if isinstance(pdu, ClosePdu):
             self._note_peer_gone("peer_close")
         elif isinstance(pdu, CreditResyncPdu):
@@ -645,7 +645,12 @@ class Connection:
                     self.core.on_resync_request(self._clock.now()).controls
                 )
         else:
-            self._to_sender(("control", pdu))
+            self.on_control_run((pdu,))
+
+    def on_control_run(self, pdus) -> None:
+        """ACKs and credits that arrived together, in arrival order:
+        one sender-half event for the run."""
+        self._to_sender(("control", pdus))
 
     def on_timer_tick(self, now: float) -> None:
         """Called by the node timer once ``next_deadline`` has passed."""
@@ -684,8 +689,8 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _run_sender(self, event: tuple) -> None:
-        """Feed one event — send request, control PDU or timer tick — to
-        the core's sender half and carry out what it decides."""
+        """Feed one event — send request, run of control PDUs or timer
+        tick — to the core's sender half and carry out what it decides."""
         core = self.core
         kind = event[0]
         sinks = ()
@@ -700,7 +705,7 @@ class Connection:
                     handle, payload, now, trace_id, span_mark or None, stamp
                 )
             elif kind == "control":
-                effects = core.on_control(event[1], now, stamp)
+                effects = core.on_controls(event[1], now, stamp)
             else:
                 effects = core.on_timer(now, stamp)
             self._apply(effects, sinks)
@@ -753,12 +758,12 @@ class Connection:
                 self.next_deadline = self.core.next_deadline
 
     def _send_controls(self, pdus) -> None:
-        """The one way out for control PDUs: the node's Control Send
-        Thread queue (unbounded, so this cannot fail; a dead link is the
-        Control Send Thread's to notice)."""
-        control_send = self.node.control_send
-        for pdu in pdus:
-            control_send(self.peer_link, pdu)
+        """The one way out for control PDUs: the PDUs of one core
+        decision cross to the node's Control Send Thread as one queue
+        item (unbounded, so this cannot fail; a dead link is the Control
+        Send Thread's to notice)."""
+        if pdus:
+            self.node.control_send_many(self.peer_link, pdus)
 
     def _queue_for_send_thread(self, sdus: list, instruments) -> None:
         """Threaded plane: a flow-released burst crosses to the Send

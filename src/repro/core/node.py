@@ -60,6 +60,15 @@ from repro.util.trace import Tracer, jsonl_sink_from_env
 
 _STOP = object()
 
+#: PDUs that feed a connection's sender half; a run of them for one
+#: connection reaches it as one event.
+_SENDER_HALF_PDUS = (AckPdu, CumAckPdu, CreditPdu)
+
+#: A Control Send Thread pass stops gathering once a link has this many
+#: PDUs to write; a Control Receive Thread takes this many frames from
+#: one read.
+_CTRL_BURST_MAX = 64
+
 #: Result of an accept handler: True/None accept, False/str reject,
 #: ConnectionConfig accept-with-overrides.
 AcceptDecision = Union[bool, None, str, ConnectionConfig]
@@ -141,9 +150,9 @@ class Node:
             if xray_cfg is not None
             else None
         )
-        #: Control PDUs queued for sending, by type name (plain-dict
-        #: counters: the Control Send path stays lock-free; the metrics
-        #: collector publishes them at snapshot time).
+        #: Control PDUs handed to their link, by type name.  Written
+        #: only by the Control Send Thread, so a plain dict loses no
+        #: count; the metrics collector publishes it at snapshot time.
         self._ctrl_pdu_sent: Dict[str, int] = {}
         #: Aggregated totals of connections that have already closed, so
         #: snapshots taken after teardown still see their traffic.
@@ -439,18 +448,22 @@ class Node:
 
     def control_send(self, link, pdu: ControlPdu) -> None:
         """Queue a PDU for the Control Send Thread."""
-        pdu_type = type(pdu).__name__
-        self._ctrl_pdu_sent[pdu_type] = self._ctrl_pdu_sent.get(pdu_type, 0) + 1
+        self.control_send_many(link, (pdu,))
+
+    def control_send_many(self, link, pdus) -> None:
+        """Queue ``pdus`` for the Control Send Thread as one item: they
+        leave on ``link`` in this order, in one write."""
         if self.tracer.enabled:
-            detail = {"type": pdu_type}
-            conn_id = getattr(pdu, "connection_id", None)
-            if conn_id is not None:
-                detail["conn_id"] = conn_id
-            msg_id = getattr(pdu, "msg_id", None)
-            if msg_id is not None:
-                detail["msg_id"] = msg_id
-            self.tracer.emit("control", "send", **detail)
-        self._ctrl_chan.put((link, pdu))
+            for pdu in pdus:
+                detail = {"type": type(pdu).__name__}
+                conn_id = getattr(pdu, "connection_id", None)
+                if conn_id is not None:
+                    detail["conn_id"] = conn_id
+                msg_id = getattr(pdu, "msg_id", None)
+                if msg_id is not None:
+                    detail["msg_id"] = msg_id
+                self.tracer.emit("control", "send", **detail)
+        self._ctrl_chan.put((link, pdus))
 
     def control_link(self, peer: Tuple[str, int]):
         """Control link to ``peer``, dialing one if needed (group layer
@@ -485,11 +498,6 @@ class Node:
             self.watchdog.stop()
         for connection in self.connections():
             connection.close()
-        if self.metrics is not None:
-            # Final publish so post-run snapshots still see this node's
-            # traffic, then stop participating in future snapshots.
-            self._collect_metrics(self.metrics)
-            self.metrics.remove_collector(self._collect_metrics)
         self._ctrl_chan.put(_STOP)
         self._master_chan.put((_STOP, None))
         self._listener.close()
@@ -500,6 +508,13 @@ class Node:
             link.close()
         for handle in self._threads:
             handle.join(timeout=1.0)
+        if self.metrics is not None:
+            # Final publish so post-run snapshots still see this node's
+            # traffic — after the Control Send Thread has written (and
+            # counted) its last PDUs — then stop participating in
+            # future snapshots.
+            self._collect_metrics(self.metrics)
+            self.metrics.remove_collector(self._collect_metrics)
         with self._event_loop_lock:
             event_loop = self._event_loop
         if event_loop is not None:
@@ -552,56 +567,102 @@ class Node:
             self.pkg.spawn(self._link_reader, link, name=f"{self.name}-ctrlrecv")
 
     def _ctrl_send_loop(self) -> None:
-        """The paper's Control Send Thread."""
-        while True:
+        """The paper's Control Send Thread.
+
+        Blocks for the first queued item, takes whatever else the
+        channel already holds — it never waits for more, so no PDU is
+        held back to fill a burst — and writes each link's PDUs, in
+        submission order, with one gathered ``send_many``.
+        """
+        chan = self._ctrl_chan
+        sent = self._ctrl_pdu_sent
+        stopping = False
+        while not stopping:
             try:
-                item = self._ctrl_chan.get(timeout=0.1)
+                item = chan.get(timeout=0.1)
             except TimeoutError:
                 if self._closed:
                     return
                 continue
-            if item is _STOP:
-                return
-            link, pdu = item
-            try:
-                link.send(pdu.encode())
-            except InterfaceClosed:
-                continue  # peer gone; connection teardown handles the rest
+            by_link: dict = {}
+            while True:
+                if item is _STOP:
+                    stopping = True  # write what was queued ahead of it
+                    break
+                link, pdus = item
+                burst = by_link.setdefault(link, [])
+                burst.extend(pdus)
+                if len(burst) >= _CTRL_BURST_MAX:
+                    break
+                ok, item = chan.try_get()
+                if not ok:
+                    break
+            for link, pdus in by_link.items():
+                try:
+                    link.send_many([pdu.encode() for pdu in pdus])
+                except InterfaceClosed:
+                    continue  # peer gone; connection teardown handles the rest
+                for pdu in pdus:
+                    pdu_type = type(pdu).__name__
+                    sent[pdu_type] = sent.get(pdu_type, 0) + 1
 
     def _link_reader(self, link: SciInterface) -> None:
-        """A Control Receive Thread: parse and route inbound PDUs."""
-        poll_mode = self.pkg.kind == "user"
+        """A Control Receive Thread: parse and route inbound PDUs.
+
+        One read takes every frame the link has ready; the user-level
+        package polls and yields where the kernel package blocks (§4.1).
+        """
+        timeout = 0.0 if self.pkg.kind == "user" else 0.1
         while not self._closed:
             try:
-                if poll_mode:
-                    frame = link.try_recv()
-                    if frame is None:
-                        self.pkg.yield_control()
-                        continue
-                else:
-                    frame = link.recv(timeout=0.1)
-                    if frame is None:
-                        continue
+                frames = link.recv_many(_CTRL_BURST_MAX, timeout=timeout)
             except InterfaceClosed:
                 return
+            if frames:
+                self._route_frames(frames, link)
+            else:
+                self.pkg.yield_control()
+
+    def _route_frames(self, frames: list, link) -> None:
+        """Decode one read's frames and route them in arrival order.
+        Consecutive ACKs and credits for one connection reach it as one
+        run; every other PDU is routed alone.  A malformed frame is
+        traced and skipped."""
+        run: list = []
+        for frame in frames:
             try:
                 pdu = decode_control_pdu(frame)
             except PduDecodeError:
                 self.tracer.emit("node", "malformed_control", size=len(frame))
                 continue
-            self._route_pdu(pdu, link)
+            joins = isinstance(pdu, _SENDER_HALF_PDUS)
+            if run and not (
+                joins and pdu.connection_id == run[0].connection_id
+            ):
+                self._route_run(run)
+                run = []
+            if joins:
+                run.append(pdu)
+            else:
+                self._route_pdu(pdu, link)
+        if run:
+            self._route_run(run)
 
-    def _route_pdu(self, pdu: ControlPdu, link) -> None:
-        if isinstance(
-            pdu, (AckPdu, CumAckPdu, CreditPdu, CreditResyncPdu, ClosePdu)
-        ):
-            with self._conn_lock:
-                connection = self._connections.get(pdu.connection_id)
-            if self.tracer.enabled:
-                # Control-plane arrivals carry the trace context (msg_id)
-                # set by the sender's data plane, tying the two planes of
-                # one transfer together in the event stream.
-                if isinstance(pdu, (AckPdu, CumAckPdu)):
+    def _route_run(self, pdus: list) -> None:
+        """Hand a run of ACKs and credits to the connection they name."""
+        with self._conn_lock:
+            connection = self._connections.get(pdus[0].connection_id)
+        if self.tracer.enabled:
+            # Control-plane arrivals carry the trace context (msg_id)
+            # set by the sender's data plane, tying the two planes of
+            # one transfer together in the event stream.
+            for pdu in pdus:
+                if isinstance(pdu, CreditPdu):
+                    self.tracer.emit(
+                        "control", "credit",
+                        conn_id=pdu.connection_id, credits=pdu.credits,
+                    )
+                else:
                     trace = (
                         connection.trace_of(pdu.msg_id)
                         if connection is not None
@@ -612,11 +673,13 @@ class Node:
                         conn_id=pdu.connection_id, msg_id=pdu.msg_id,
                         trace=trace,
                     )
-                elif isinstance(pdu, CreditPdu):
-                    self.tracer.emit(
-                        "control", "credit",
-                        conn_id=pdu.connection_id, credits=pdu.credits,
-                    )
+        if connection is not None:
+            connection.on_control_run(pdus)
+
+    def _route_pdu(self, pdu: ControlPdu, link) -> None:
+        if isinstance(pdu, (CreditResyncPdu, ClosePdu)):
+            with self._conn_lock:
+                connection = self._connections.get(pdu.connection_id)
             if connection is not None:
                 connection.on_control_pdu(pdu)
             return

@@ -85,6 +85,10 @@ class SciInterface(CommInterface):
         self._rx = memoryview(bytearray(_RX_BUFFER_MIN))
         self._rx_start = 0
         self._rx_end = 0
+        #: The last socket read came back short (fewer bytes than the
+        #: room offered, or none): the socket was empty at that moment,
+        #: so the next read waits for ``select`` to report it readable.
+        self._rx_drained = False
         #: Unsent wire segments (bytes / memoryviews), oldest first.
         #: The threaded path drains it synchronously inside the send
         #: call; the event plane drains it from the selector loop.
@@ -302,7 +306,14 @@ class SciInterface(CommInterface):
                     max_n, timeout
                 )
                 if frames:
-                    while len(frames) < max_n and self._fill():
+                    # Top up while the socket may hold more: a read that
+                    # came back short emptied it, and reading again
+                    # could only return EAGAIN.
+                    while (
+                        len(frames) < max_n
+                        and not self._rx_drained
+                        and self._fill()
+                    ):
                         frames += self._parse(max_n - len(frames))
             except InterfaceClosed:
                 self._drop_rx()
@@ -371,7 +382,8 @@ class SciInterface(CommInterface):
         so less than one frame is buffered: it moves to the front and
         the read gets the rest of the buffer.  True if bytes landed;
         False when the socket has nothing ready.  EOF and socket errors
-        raise :class:`InterfaceClosed`.
+        raise :class:`InterfaceClosed`.  Leaves ``_rx_drained`` saying
+        whether the read emptied the socket.
         """
         rx = self._rx
         start, end = self._rx_start, self._rx_end
@@ -383,6 +395,7 @@ class SciInterface(CommInterface):
         try:
             got = self._sock.recv_into(rx[end:])
         except (BlockingIOError, InterruptedError):
+            self._rx_drained = True
             return False
         except OSError as exc:
             if self._closed:
@@ -399,6 +412,7 @@ class SciInterface(CommInterface):
             raise InterfaceClosed("peer closed the connection")
         end += got
         self._rx_end = end
+        self._rx_drained = end < len(rx)
         if end == len(rx) and end < _RX_BUFFER_MAX:
             # The socket had at least a bufferful: read more next time.
             self._resize_rx(min(2 * end, _RX_BUFFER_MAX), 0, end)
@@ -420,12 +434,17 @@ class SciInterface(CommInterface):
         ``mid_frame_timeout``: a peer that died mid-frame leaves a
         stream that can never resynchronize, so past that the interface
         is declared dead rather than wedging the thread.
+
+        A blocking call on a socket the last read emptied goes to
+        ``select`` first — the read could only return EAGAIN — and
+        reads once the socket is reported readable (data, EOF or an
+        error alike).  A zero ``timeout`` always reads.
         """
         poll = timeout is not None and timeout <= 0
         give_up = None if timeout is None else time.monotonic() + timeout
         stall_deadline = None
         while True:
-            if self._fill():
+            if (poll or not self._rx_drained) and self._fill():
                 frames = self._parse(limit)
                 if frames:
                     return frames
@@ -452,12 +471,14 @@ class SciInterface(CommInterface):
                 )
             wait = 0.25 if deadline is None else min(deadline - now, 0.25)
             try:
-                select.select([self._sock], [], [], wait)
+                readable, _, _ = select.select([self._sock], [], [], wait)
             except (OSError, ValueError) as exc:
                 if self._closed:
                     raise InterfaceClosed("recv on closed interface") from exc
                 self._mark_dead()
                 raise InterfaceClosed(f"socket lost: {exc}") from exc
+            if readable:
+                self._rx_drained = False
 
     # -- teardown ------------------------------------------------------------
 

@@ -110,8 +110,15 @@ class KernelCondition(Condition):
 
 
 class KernelChannel(Channel):
+    """An unbounded channel — every one NCS itself creates — is the C
+    ``queue.SimpleQueue``: about half the cost per cross-thread hop of
+    ``queue.Queue`` and its three Python condition variables.  Only a
+    ``capacity`` needs ``queue.Queue``, the one that can be full."""
+
     def __init__(self, capacity: int = 0):
-        self._queue: queue.Queue = queue.Queue(maxsize=capacity)
+        self._queue = (
+            queue.Queue(maxsize=capacity) if capacity > 0 else queue.SimpleQueue()
+        )
 
     def put(self, item: Any, timeout: Optional[float] = None) -> bool:
         try:

@@ -186,6 +186,35 @@ class TestFlowRelease:
         assert [p.credits for p in reply.controls] == [1]
         assert pair.b.resync_requests_answered == 1
 
+    def test_a_run_decides_what_its_pdus_decide_one_at_a_time(self):
+        """ACKs and credits handed over as one run release the same SDUs
+        in the same order, confirm the same sends and leave the engines'
+        counters and deadline where one-at-a-time delivery leaves them —
+        on a sender that stays gated, so the stall clock matters."""
+
+        def drive(as_run):
+            pair = Pair(initial_credits=2, max_credits=2)
+            sent = []
+            for index in range(6):
+                pair.send(bytes([index]) * 100)
+            for _ in range(10):
+                frames, pair.frames[pair.b] = pair.frames[pair.b], []
+                sent += frames
+                if frames:
+                    pair.apply(pair.b, pair.b.on_frames(frames, pair.now))
+                run, pair.pdus[pair.a] = pair.pdus[pair.a], []
+                if as_run and run:
+                    assert len(run) > 1
+                    pair.apply(pair.a, pair.a.on_controls(run, pair.now))
+                for pdu in () if as_run else run:
+                    pair.apply(pair.a, pair.a.on_control(pdu, pair.now))
+                pair.now += 0.001
+            assert all(h.status is SendStatus.COMPLETED for h in pair.handles)
+            assert pair.a.fc_sender.credit_stalls > 0
+            return sent, pair.a.fc_sender.metrics(), pair.a.sender_deadline
+
+        assert drive(as_run=True) == drive(as_run=False)
+
 
 class TestPeerGone:
     def test_dead_data_path_leaves_sdus_pending_for_replay(self):

@@ -139,3 +139,84 @@ class TestHpiSignaling:
         peer = b.accept(timeout=5.0)
         conn.send(b"trap", wait=True, timeout=5.0)
         assert peer.recv(timeout=5.0) == b"trap"
+
+
+class TestControlPlane:
+    def test_sent_pdu_count_is_exact_under_concurrent_senders(self, node_factory):
+        """Every sender thread used to bump the per-type count itself,
+        unlocked; the Control Send Thread is its only writer now."""
+        import sys
+        import threading
+        import time
+
+        from repro.interfaces.loopback import LoopbackPair
+        from repro.obs.registry import MetricsRegistry
+        from repro.protocol.pdus import CreditPdu
+
+        registry = MetricsRegistry()
+        node = node_factory("counter", metrics=True, metrics_registry=registry)
+        link, far_end = LoopbackPair().endpoints()
+        threads, each = 8, 2000
+
+        def sender(tag: int) -> None:
+            for n in range(each):
+                node.control_send(link, CreditPdu(tag, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=sender, args=(tag,))
+                for tag in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        arrived = 0
+        deadline = time.monotonic() + 10.0
+        while arrived < threads * each and time.monotonic() < deadline:
+            arrived += len(far_end.recv_many(1024, timeout=0.1))
+        assert arrived == threads * each
+        # (The count follows the write, which the frames above prove done.)
+        deadline = time.monotonic() + 5.0
+        while node._ctrl_pdu_sent.get("CreditPdu") != arrived:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        published = [
+            gauge["value"]
+            for gauge in registry.snapshot()["gauges"]
+            if gauge["name"] == "ncs_control_pdus_sent"
+            and gauge["labels"]["type"] == "CreditPdu"
+        ]
+        assert published == [threads * each]
+
+    def test_malformed_control_frame_is_skipped_not_fatal(
+        self, connected_pair, monkeypatch
+    ):
+        """A frame that does not decode is traced and dropped; the PDUs
+        read with it, before and after, still reach their connection —
+        here as the one run they would have been without it."""
+        from repro.core.connection import Connection
+        from repro.protocol.pdus import ClosePdu, CreditPdu
+
+        conn, _peer = connected_pair(trace=True)
+        runs = []
+        monkeypatch.setattr(
+            Connection, "on_control_run", lambda self, pdus: runs.append(pdus)
+        )
+        good = [CreditPdu(conn.conn_id, 1), CreditPdu(conn.conn_id, 2)]
+        frames = [good[0].encode(), b"\xff not a pdu", good[1].encode(), b""]
+        conn.node._route_frames(frames, conn.peer_link)
+        assert runs == [good]
+        malformed = conn.node.tracer.select("node", "malformed_control")
+        assert [event.detail["size"] for event in malformed] == [11, 0]
+        # A PDU of another kind ends the run and is routed alone.
+        del runs[:]
+        frames = [good[0].encode(), ClosePdu(conn.conn_id).encode(), good[1].encode()]
+        conn.node._route_frames(frames, conn.peer_link)
+        assert runs == [[good[0]], [good[1]]]
+        assert conn.peer_gone

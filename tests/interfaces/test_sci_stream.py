@@ -8,10 +8,12 @@ a write that stops inside a header — is a plain list.
 """
 
 import struct
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.interfaces import sci
 from repro.interfaces.base import InterfaceClosed
 from repro.interfaces.sci import MAX_FRAME, SciInterface
 from repro.protocol.headers import HEADER_SIZE, Sdu
@@ -26,13 +28,16 @@ class ScriptedSocket:
     fits; the rest stays for the next call), ``None`` for "nothing
     ready", ``b""`` for EOF; an exhausted script has nothing ready.
     ``writes``: how many bytes each ``sendmsg`` accepts (``None``:
-    would block); an exhausted script accepts everything."""
+    would block); an exhausted script accepts everything.
+    ``calls`` lists the ``recv_into`` calls made ("read") and, under
+    the ``scripted_select`` fixture, the ``select`` waits ("select")."""
 
     def __init__(self, reads=(), writes=()):
         self.reads = list(reads)
         self.writes = list(writes)
         self.sent = bytearray()
         self.closed = False
+        self.calls = []
 
     def setsockopt(self, *args):
         pass
@@ -42,6 +47,7 @@ class ScriptedSocket:
 
     def recv_into(self, buffer):
         assert len(buffer) > 0, "read offered no room"
+        self.calls.append("read")
         if not self.reads or self.reads[0] is None:
             del self.reads[:1]
             raise BlockingIOError
@@ -200,6 +206,76 @@ class TestStreamErrors:
         iface = SciInterface(ScriptedSocket([prefix + b"z" * 1000]))
         assert iface.try_recv() is None
         assert iface.metrics()["rx_buffered_bytes"] == 4 + 1000
+
+
+@pytest.fixture
+def scripted_select(monkeypatch):
+    """``select`` for scripted sockets: readable when the script's next
+    read is data or EOF, and no time passes while waiting."""
+
+    def select(rlist, wlist, xlist, timeout=None):
+        (sock,) = rlist
+        sock.calls.append("select")
+        ready = bool(sock.reads) and sock.reads[0] is not None
+        return (rlist if ready else []), [], []
+
+    monkeypatch.setattr(sci, "select", types.SimpleNamespace(select=select))
+
+
+class TestNoReadThatCanOnlyReturnEagain:
+    """A read that comes back short emptied the socket: the next read
+    waits until ``select`` says there is something to read."""
+
+    def test_short_read_ends_the_receive(self):
+        sock = ScriptedSocket([framed([b"a", b"b"])])
+        assert SciInterface(sock).recv_many(8, timeout=0.0) == [b"a", b"b"]
+        assert sock.calls == ["read"]
+
+    def test_full_read_is_followed_by_one_more(self):
+        # Exactly the room the stream buffer starts with: the socket may
+        # hold more, so the top-up read goes ahead.
+        frame = b"f" * (sci._RX_BUFFER_MIN - 4)
+        sock = ScriptedSocket([framed([frame])])
+        assert SciInterface(sock).recv_many(8, timeout=0.0) == [frame]
+        assert sock.calls == ["read", "read"]
+
+    def test_blocking_call_after_short_read_selects_first(self, scripted_select):
+        sock = ScriptedSocket([framed([b"first"]), framed([b"late"])])
+        iface = SciInterface(sock)
+        assert iface.recv_many(8, timeout=0.0) == [b"first"]
+        assert iface.recv(timeout=1.0) == b"late"  # no lost wake-up
+        assert sock.calls == ["read", "select", "read"]
+
+    def test_blocking_call_on_idle_socket_never_reads(self, scripted_select):
+        sock = ScriptedSocket([framed([b"only"])])
+        iface = SciInterface(sock)
+        assert iface.recv_many(8, timeout=0.0) == [b"only"]
+        del sock.calls[:]
+        assert iface.recv_many(8, timeout=0.01) == []
+        assert sock.calls and set(sock.calls) == {"select"}
+
+    def test_zero_timeout_poll_always_reads(self):
+        sock = ScriptedSocket([framed([b"first"]), framed([b"late"])])
+        iface = SciInterface(sock)
+        assert iface.try_recv() == b"first"
+        assert iface.try_recv() == b"late"
+        assert iface.try_recv() is None
+        assert sock.calls == ["read", "read", "read"]
+
+    def test_frame_split_across_short_reads_is_finished(self, scripted_select):
+        stream = framed([b"x" * 100])
+        sock = ScriptedSocket([stream[:2], stream[2:50], stream[50:]])
+        assert SciInterface(sock).recv(timeout=1.0) == b"x" * 100
+        assert sock.calls == ["read", "select", "read", "select", "read"]
+
+    @pytest.mark.parametrize("timeout", [0.0, 1.0])
+    def test_eof_after_short_read_raises(self, scripted_select, timeout):
+        sock = ScriptedSocket([framed([b"last"]), b""])
+        iface = SciInterface(sock)
+        assert iface.recv_many(8, timeout=timeout) == [b"last"]
+        with pytest.raises(InterfaceClosed):
+            iface.recv_many(8, timeout=timeout)
+        assert iface.closed
 
 
 def burst(count=5, sdu_size=4096, **kwargs):

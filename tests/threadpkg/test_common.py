@@ -218,6 +218,36 @@ class TestChannel:
         handle.join(5.0)
         assert handle.result == list(range(6))
 
+    @pytest.mark.parametrize("capacity", [0, 2])
+    def test_contract_unbounded_and_bounded(self, pkg, capacity):
+        """One contract whichever queue backs the channel (the kernel
+        package picks by ``capacity``): only a bounded one can be full."""
+
+        def exercise():
+            channel = pkg.channel(capacity=capacity)
+            assert channel.empty() and channel.qsize() == 0
+            assert channel.try_get() == (False, None)
+            with pytest.raises(TimeoutError):
+                channel.get(timeout=0.02)
+            assert channel.put("a") is True
+            assert channel.put("b", timeout=0.02) is True
+            assert channel.qsize() == 2 and not channel.empty()
+            fits = capacity == 0
+            assert channel.put("c", timeout=0.02) is fits
+            expected = ["a", "b", "c"] if fits else ["a", "b"]
+            assert channel.get(timeout=1.0) == "a"
+            assert [channel.try_get() for _ in expected[1:]] == [
+                (True, item) for item in expected[1:]
+            ]
+            assert channel.try_get() == (False, None)
+            assert channel.empty()
+            return "held"
+
+        handle = pkg.spawn(exercise)
+        assert handle.join(5.0)
+        assert handle.exception is None, handle.exception
+        assert handle.result == "held"
+
     def test_qsize(self, pkg):
         channel = pkg.channel()
         channel.put(1)
