@@ -1,10 +1,10 @@
 """Latency X-ray overhead: the attribution tax at each sampling rate.
 
 Not a paper figure — the X-ray is this repo's latency-debugging
-subsystem — but persisted like one so CI's bench_compare gate catches
-the sampler's cost creeping past its design budget (≤5% at the 1/64
-production default), and so the telescoping invariant is re-proven on
-the bench workload, not just the unit-test one.
+subsystem — but persisted like one, so the sampler's cost creeping past
+its design budget (≤5% at the 1/64 production default) fails here, and
+so the telescoping invariant is re-proven on the bench workload, not
+just the unit-test one.
 """
 
 import pytest

@@ -6,8 +6,9 @@ request 15, context switch into the Send Thread 27, dequeueing 17,
 freeing the request buffer 10, context switch back 25 — 108 µs of
 *session overhead* (28 %) against 274 µs of data transfer (72 %).
 
-Here the live runtime's instrumented send path produces the same
-decomposition from real timestamps.  Stage mapping:
+Here the same decomposition is read off the live runtime's X-ray spans
+(every message sampled; see :func:`repro.obs.profiler.profile_echo`).
+Stage mapping:
 
     entry→queued        = NCS_send function work + header/queue cost
     queued→dequeued     = context switch into the protocol thread
@@ -15,7 +16,8 @@ decomposition from real timestamps.  Stage mapping:
     segmented→flow      = flow-control release (queueing to Send Thread)
     flow→send_dequeued  = context switch into the Send Thread
     send_dequeued→transmitted = data transfer (interface send)
-    transmitted→exit    = return path back to the caller
+
+"NCS_send entry/exit (caller visible)" is timed around the call.
 
 Absolute numbers are a 2020s CPython process, not a 1996 SPARC — what
 reproduces is the *structure*: a constant session overhead that
@@ -25,15 +27,14 @@ dominates 1-byte sends and washes out for large messages (Figure 11).
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bench.runner import (
     dump_metrics_if_requested,
     format_table,
     persist_run,
 )
-from repro.core import ConnectionConfig, Node, NodeConfig
-from repro.obs.profiler import SEND_STAGES, OverheadProfiler
+from repro.obs.profiler import SEND_STAGES, OverheadProfiler, profile_echo
 
 #: The paper's published microsecond figures, for side-by-side output.
 PAPER_TABLE1_US = {
@@ -49,8 +50,8 @@ PAPER_TABLE1_US = {
     "Total": 383,
 }
 
-#: Ordered stage boundaries recorded by the instrumented send path
-#: (shared with the generalized profiler in :mod:`repro.obs.profiler`).
+#: Ordered stage boundaries of a threaded send (shared with the
+#: generalized profiler in :mod:`repro.obs.profiler`).
 _STAGES = SEND_STAGES
 
 
@@ -70,39 +71,17 @@ def run_profiled(
     ``interface="hpi"`` to isolate pure threading costs with a near-free
     data transfer, or ``mode="bypass"`` for the §4.2 procedure variant.
     """
-    profiler = OverheadProfiler(mode=mode)
-    node_a = Node(NodeConfig(name="t1-a", thread_package=thread_package))
-    node_b = Node(NodeConfig(name="t1-b", thread_package=thread_package))
-    try:
-        node_b.accept_mode = mode
-        conn = node_a.connect(
-            node_b.address,
-            ConnectionConfig(interface=interface, flow_control="none",
-                             error_control="none", mode=mode),
-            peer_name="t1-b",
-        )
-        peer = node_b.accept(timeout=5.0)
-        peer.profiler = profiler
-        entry_to_exit: List[float] = []
-        for _ in range(iterations):
-            stamps: Dict[str, int] = {}
-            conn.send(b"x", instrument=stamps)
-            # Wait for the transmit to finish so every stamp exists.
-            deadline_ok = peer.recv(timeout=5.0)
-            if deadline_ok is not None and "transmitted" in stamps:
-                profiler.record_send(stamps)
-                if "exit" in stamps:
-                    entry_to_exit.append(
-                        (stamps["exit"] - stamps["entry"]) / 1000.0
-                    )
-        results = profiler.send_breakdown()
-        results["NCS_send entry/exit (caller visible)"] = (
-            statistics.median(entry_to_exit) if entry_to_exit else 0.0
-        )
-        return results, profiler
-    finally:
-        node_a.close()
-        node_b.close()
+    profiler = profile_echo(
+        iterations=iterations,
+        mode=mode,
+        interface=interface,
+        thread_package=thread_package,
+    )
+    results = profiler.send_breakdown()
+    results["NCS_send entry/exit (caller visible)"] = (
+        statistics.median(profiler.caller_us) if profiler.caller_us else 0.0
+    )
+    return results, profiler
 
 
 def run(

@@ -43,7 +43,6 @@ from repro.core.config import ConnectionConfig
 from repro.core.conncore import ConnectionCore
 from repro.core.errors import ConnectionClosedError, NCSOverloaded, NCSTimeout
 from repro.core.handles import SendHandle
-from repro.obs.xray import XRAY_SPAN_MARK
 from repro.interfaces.base import (
     CommInterface,
     FaultInjector,
@@ -54,16 +53,6 @@ from repro.protocol.pdus import ClosePdu, ControlPdu, CreditResyncPdu
 from repro.util.trace import new_trace_id
 
 _STOP = object()
-
-#: Most spans parked per X-ray table: orphans (e.g. the duplicate of an
-#: already-finished message) must not grow a table forever.
-_XRAY_TABLE_MAX = 1024
-
-
-def _park(table: dict, key, span: dict) -> None:
-    if len(table) >= _XRAY_TABLE_MAX:
-        table.pop(next(iter(table)))
-    table[key] = span
 
 
 class Connection:
@@ -128,8 +117,6 @@ class Connection:
         self._pkg = node.pkg
         self._clock = node.clock
         self._tracer = node.tracer
-        #: Optional OverheadProfiler recording receive-path stage times.
-        self.profiler = None
         self._h_send_size = self._h_recv_size = None
         if node.metrics is not None:
             from repro.obs.registry import SIZE_BUCKETS
@@ -146,19 +133,14 @@ class Connection:
                 "ncs_recv_message_bytes", buckets=SIZE_BUCKETS, **labels
             )
 
-        # Latency X-ray (repro.obs.xray).  When the node-level recorder
-        # is absent, every hot path below pays exactly one `is not None`
-        # branch; when sampling is on, unsampled messages pay one counter
-        # increment and one modulo — no allocation either way.
-        self._xray = node.xray
-        self._xray_ids = itertools.count(1)
-        #: msg_id -> stamp dict for sampled in-flight sends.  Always a
-        #: dict (guards check truthiness, which is falsy when idle).
-        self._xray_send_spans: dict = {}
-        #: msg_id -> stamp dict for sampled inbound mid-reassembly.
-        self._xray_recv_spans: dict = {}
-        #: id(message) -> stamp dict parked in recv_queue with it.
-        self._xray_delivery: dict = {}
+        #: Latency X-ray: this connection's live-span table and the only
+        #: stage clock (repro.obs.xray.SpanTable), or None when the node
+        #: samples nothing — then every hot path below pays exactly one
+        #: `is not None` branch.
+        self.xray = (
+            None if node.xray is None
+            else node.xray.span_table(conn_id, peer_name)
+        )
 
         self._msg_ids = itertools.count(1)
         self.recv_queue = self._pkg.channel()
@@ -204,7 +186,9 @@ class Connection:
             self._proto_chan = self._pkg.channel()
             self._send_chan = self._pkg.channel()
             self._to_sender = self._post
-            self._transmit = self._queue_for_send_thread
+            # A flow-released burst crosses to the Send Thread as one
+            # channel item, not one per SDU.
+            self._transmit = self._send_chan.put
             self._wire = self.interface.send_many
             self._threads = [
                 self._pkg.spawn(self._proto_loop, name=f"proto-{conn_id}"),
@@ -238,22 +222,14 @@ class Connection:
         payload: bytes,
         wait: bool = False,
         timeout: Optional[float] = None,
-        instrument: Optional[dict] = None,
     ) -> SendHandle:
         """NCS_send(): transmit ``payload`` on this connection.
 
         Returns a :class:`SendHandle`; with ``wait=True`` blocks until the
         error control engine confirms delivery (or raises on failure).
-        ``instrument`` (a dict) collects per-stage timestamps for the
-        Table I overhead decomposition.
         """
-        span = None
-        if self._xray is not None and self._xray.sampled(next(self._xray_ids)):
-            span = {}
-        sinks = () if instrument is None else (instrument,)
-        timed = span is not None or instrument is not None
-        if timed:
-            self._stamp("entry", None, sinks, span)
+        xray = self.xray
+        span = None if xray is None else xray.begin_send()
         if self._closed:
             raise ConnectionClosedError(f"connection {self.conn_id} is closed")
         if self.core.peer_gone:
@@ -265,8 +241,8 @@ class Connection:
                 f"connection {self.conn_id}: peer is gone (closed or transport lost)"
             )
         self._admit_send(len(payload), timeout)
-        if timed:
-            self._stamp("admitted", None, sinks, span)
+        if span is not None:
+            xray.send_stamp("admitted", own=span)
         msg_id = next(self._msg_ids)
         handle = SendHandle(msg_id, len(payload))
         trace_id = 0
@@ -283,10 +259,7 @@ class Connection:
             # the stored SDUs.
             if not trace_id:
                 trace_id = new_trace_id()
-            span_mark = XRAY_SPAN_MARK | (msg_id & 0x7FFFFFFF)
-            span["_trace"] = trace_id
-            span["_size"] = len(payload)
-            self._xray_send_spans[msg_id] = span
+            span_mark = xray.track(span, msg_id, trace_id, len(payload))
         with self._stats_lock:
             self.messages_sent += 1
             self.bytes_sent += len(payload)
@@ -304,11 +277,7 @@ class Connection:
                 conn_id=self.conn_id, msg_id=msg_id, size=len(payload),
                 trace=trace_id,
             )
-        self._to_sender(
-            ("send", handle, payload, trace_id, span_mark, sinks, span)
-        )
-        if sinks:
-            self._stamp("exit", None, sinks)
+        self._to_sender(("send", handle, payload, trace_id, span_mark, span))
         if wait:
             if not handle.wait(timeout):
                 raise NCSTimeout(
@@ -446,12 +415,8 @@ class Connection:
         """The application consumed ``message``: close its X-ray span and
         release its delivery-site bytes (which may reopen the credit
         gate and flush the withheld grants)."""
-        if self._xray_delivery:
-            span = self._xray_delivery.pop(id(message), None)
-            if span is not None and self._xray is not None:
-                span["popped"] = time.perf_counter_ns()
-                span["_size"] = len(message)
-                self._xray.record_recv(self.conn_id, self.peer_name, span)
+        if self.xray is not None:
+            self.xray.taken(len(message))
         if self._budget is not None:
             with self._rx_lock:
                 self._send_controls(self.core.on_consumed(len(message)).controls)
@@ -469,6 +434,8 @@ class Connection:
         ok, message = self.recv_queue.try_get()
         if not ok:
             return 0
+        if self.xray is not None:
+            self.xray.taken(len(message), shed=True)
         with self._rx_lock:
             self._send_controls(
                 self.core.on_consumed(len(message), shed=True).controls
@@ -559,9 +526,8 @@ class Connection:
             # no key can outlive the connection.
             self._event_endpoint.detach()
         self.interface.close()
-        self._xray_send_spans.clear()
-        self._xray_recv_spans.clear()
-        self._xray_delivery.clear()
+        if self.xray is not None:
+            self.xray.clear()
         self.node._forget_connection(self.conn_id)
 
     @property
@@ -693,14 +659,14 @@ class Connection:
         tick — to the core's sender half and carry out what it decides."""
         core = self.core
         kind = event[0]
-        sinks = ()
-        stamp = self._stamp if self._xray_send_spans else None
+        xray = self.xray
+        stamp = xray.send_stamp if xray is not None and xray.sends else None
         with self._engine_lock:
             now = self._clock.now()
             if kind == "send":
-                _, handle, payload, trace_id, span_mark, sinks, span = event
-                if sinks or span is not None:
-                    stamp = partial(self._stamp, instruments=sinks, span=span)
+                _, handle, payload, trace_id, span_mark, span = event
+                if span is not None:
+                    stamp = partial(xray.send_stamp, own=span)
                 effects = core.submit(
                     handle, payload, now, trace_id, span_mark or None, stamp
                 )
@@ -708,13 +674,14 @@ class Connection:
                 effects = core.on_controls(event[1], now, stamp)
             else:
                 effects = core.on_timer(now, stamp)
-            self._apply(effects, sinks)
+            self._apply(effects)
 
     def _post(self, event: tuple) -> None:
         """Threaded plane: hand the event to the protocol thread.  (The
         stamp precedes the put: the thread may dequeue the instant the
         request lands.)"""
-        self._stamp_hop("queued", event)
+        if self.xray is not None:
+            self.xray.hop("queued", event)
         self._proto_chan.put(event)
 
     def _proto_loop(self) -> None:
@@ -728,29 +695,30 @@ class Connection:
                 continue
             if event[0] is _STOP:
                 return
-            self._stamp_hop("dequeued", event)
+            if self.xray is not None:
+                self.xray.hop("dequeued", event)
             self._run_sender(event)
 
     # ------------------------------------------------------------------
     # (b) Where released SDUs and control PDUs go
     # ------------------------------------------------------------------
 
-    def _apply(self, effects, instruments=()) -> None:
+    def _apply(self, effects) -> None:
         """Carry out one core decision: SDUs to the data plane, PDUs to
         the control plane, messages to the application."""
         if effects.transmits:
-            self._transmit(effects.transmits, instruments)
+            self._transmit(effects.transmits)
         if effects.controls:
             self._send_controls(effects.controls)
+        if self.xray is not None and effects.deliveries:
+            self.xray.delivering(len(effects.deliveries))
         for message in effects.deliveries:
             if self._h_recv_size is not None:
                 self._h_recv_size.observe(len(message))
             self.recv_queue.put(message)
-        if self._xray_send_spans:
-            # A send that died before reaching the wire never finalizes;
-            # drop its span so the table cannot grow without bound.
-            for msg_id in effects.failed:
-                self._xray_send_spans.pop(msg_id, None)
+        if self.xray is not None and self.xray.sends:
+            # A send that died before reaching the wire never finishes.
+            self.xray.drop_sends(effects.failed)
         if self.core.next_deadline != self.next_deadline:
             # (Recomputed under the lock: the two halves publish from
             # different threads, and the later writer must win.)
@@ -765,11 +733,6 @@ class Connection:
         if pdus:
             self.node.control_send_many(self.peer_link, pdus)
 
-    def _queue_for_send_thread(self, sdus: list, instruments) -> None:
-        """Threaded plane: a flow-released burst crosses to the Send
-        Thread as one channel item, not one per SDU."""
-        self._send_chan.put((sdus, instruments[0] if instruments else None))
-
     def _send_loop(self) -> None:
         """The paper's Send Thread: transmit flow-released SDUs.
 
@@ -782,15 +745,13 @@ class Connection:
         batch_max = self.config.batch_max
         while True:
             try:
-                item = self._send_chan.get(timeout=0.1)
+                sdus = self._send_chan.get(timeout=0.1)
             except TimeoutError:
                 if self._closed:
                     return
                 continue
-            if item is _STOP:
+            if sdus is _STOP:
                 return
-            sdus, instrument = item
-            instruments = [] if instrument is None else [instrument]
             stop = False
             while len(sdus) < batch_max:
                 ok, extra = self._send_chan.try_get()
@@ -799,18 +760,16 @@ class Connection:
                 if extra is _STOP:
                     stop = True  # transmit what we collected, then exit
                     break
-                sdus = sdus + extra[0]
-                if extra[1] is not None:
-                    instruments.append(extra[1])
-            if instruments or self._xray_send_spans:
-                self._stamp("send_thread_dequeued", sdus, instruments)
+                sdus = sdus + extra
+            if self.xray is not None and self.xray.sends:
+                self.xray.send_stamp("send_thread_dequeued", sdus)
             for start in range(0, len(sdus), batch_max):
-                if not self._write(sdus[start : start + batch_max], instruments):
+                if not self._write(sdus[start : start + batch_max]):
                     return
             if stop:
                 return
 
-    def _write(self, sdus: list, instruments=()) -> bool:
+    def _write(self, sdus: list) -> bool:
         """Put flow-released SDUs on the wire — ``send_many``, or the
         event endpoint's ``submit`` — and report their departure.  False
         when the transport turned out to be dead."""
@@ -834,15 +793,8 @@ class Connection:
                     conn_id=self.conn_id, msg_id=msg_id,
                     sdus=count, trace=trace_id,
                 )
-        if instruments or self._xray_send_spans:
-            self._stamp("transmitted", sdus, instruments)
-            for msg_id, span in self._marked(sdus):
-                # First wire departure of the message's last SDU closes
-                # the sender span; retransmits find it already gone.
-                if self._xray_send_spans.pop(msg_id, None) is not None:
-                    self._xray.record_send(
-                        self.conn_id, self.peer_name, msg_id, span
-                    )
+        if self.xray is not None and self.xray.sends:
+            self.xray.send_stamp("transmitted", sdus)
         return True
 
     # ------------------------------------------------------------------
@@ -854,18 +806,9 @@ class Connection:
         and carry out what it decides (credits and ACKs out, messages to
         the receive queue) — atomically, so deliveries released by the
         node timer cannot overtake or be overtaken by a batch."""
-        profiler = self.profiler
-        stamps = stamp = None
-        if profiler is not None or self._xray is not None:
-            stamps = {}
-            stamp = partial(self._rx_stamp, stamps)
-            if profiler is not None:
-                stamp("recv_entry")
         with self._rx_lock:
+            stamp = None if self.xray is None else self.xray.begin_batch()
             self._apply(self.core.on_frames(frames, self._clock.now(), stamp))
-        if profiler is not None and "decoded" in stamps:
-            stamp("delivered")
-            profiler.record_recv(stamps)
 
     def _pump_once(self, timeout: float) -> Optional[bool]:
         """Read whatever the data interface has ready (waiting up to
@@ -897,62 +840,3 @@ class Connection:
         """Event plane: frames handed over by the selector loop."""
         if not self._closed and frames:
             self._on_frames(frames)
-
-    # ------------------------------------------------------------------
-    # The one instrumentation seam: a single clock reading per stage
-    # boundary, fanned out to whichever sinks are on
-    # ------------------------------------------------------------------
-
-    def _marked(self, sdus):
-        """``(msg_id, span)`` of each live sampled send whose *last* SDU
-        is among ``sdus`` (the SDU whose progress bounds the message's)."""
-        spans = self._xray_send_spans
-        for sdu in sdus:
-            header = sdu.header
-            if header.span_id & XRAY_SPAN_MARK and header.end_bit:
-                span = spans.get(header.msg_id)
-                if span is not None:
-                    yield header.msg_id, span
-
-    def _stamp(self, name: str, sdus=None, instruments=(), span=None) -> None:
-        """Send-path boundary ``name``: stamp the Table 1 ``instruments``
-        and either this message's own X-ray ``span`` (``sdus`` None) or
-        the spans of the sampled messages whose last SDU is crossing —
-        first crossing only, a retransmit must not move the boundary."""
-        now_ns = time.perf_counter_ns()
-        for instrument in instruments:
-            instrument[name] = now_ns
-        if sdus is None:
-            if span is not None:
-                span[name] = now_ns
-        elif self._xray_send_spans:
-            for _, live in self._marked(sdus):
-                live.setdefault(name, now_ns)
-
-    def _stamp_hop(self, name: str, event: tuple) -> None:
-        """Threaded plane: a queue hop of an instrumented send request."""
-        if event[0] == "send" and (event[5] or event[6] is not None):
-            self._stamp(name, None, event[5], event[6])
-
-    def _rx_stamp(self, stamps: dict, name: str, sdus=(), message=None) -> None:
-        """Receive-path boundary ``name``: stamp the batch's profiler
-        dict, open an X-ray span at a sampled message's first SDU and
-        park it with the reassembled ``message`` until NCS_recv."""
-        now_ns = stamps[name] = time.perf_counter_ns()
-        if self._xray is None:
-            return
-        spans = self._xray_recv_spans
-        if name == "decoded":
-            for sdu in sdus:
-                header = sdu.header
-                if header.span_id & XRAY_SPAN_MARK and header.msg_id not in spans:
-                    _park(spans, header.msg_id, {
-                        "first_sdu": now_ns,
-                        "_trace": header.trace_id,
-                        "_msg": header.msg_id,
-                    })
-        elif name == "reassembled" and spans:
-            span = spans.pop(sdus[0].header.msg_id, None)
-            if span is not None:
-                span["reassembled"] = now_ns
-                _park(self._xray_delivery, id(message), span)

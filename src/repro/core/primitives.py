@@ -51,14 +51,9 @@ def NCS_send(
     payload: bytes,
     wait: bool = False,
     timeout: Optional[float] = None,
-    instrument: Optional[dict] = None,
 ) -> SendHandle:
-    """Transmit ``payload`` on ``connection`` (paper Fig. 4 steps 1-4).
-
-    ``instrument`` (a dict) collects the per-stage timestamps used by the
-    Table I overhead decomposition (see :mod:`repro.obs.profiler`).
-    """
-    return connection.send(payload, wait=wait, timeout=timeout, instrument=instrument)
+    """Transmit ``payload`` on ``connection`` (paper Fig. 4 steps 1-4)."""
+    return connection.send(payload, wait=wait, timeout=timeout)
 
 
 def NCS_recv(

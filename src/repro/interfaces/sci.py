@@ -564,6 +564,12 @@ class SciListener:
 
     def close(self) -> None:
         self._closed = True
+        try:
+            # Wake a thread blocked in accept(): closing the fd alone
+            # leaves it waiting out its timeout.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
     @property

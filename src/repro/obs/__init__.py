@@ -2,9 +2,9 @@
 
 The unified measurement layer for the NCS reproduction.  Components
 publish to a :class:`MetricsRegistry` (counters / gauges / histograms
-with per-connection labels), :class:`OverheadProfiler` reproduces the
-paper's Table 1 per-stage overhead decomposition on live traffic, and
-the trace sinks in :mod:`repro.util.trace` export the event stream as
+with per-connection labels), :class:`OverheadProfiler` reads the
+paper's Table 1 per-stage overhead decomposition off the X-ray's spans,
+and the trace sinks in :mod:`repro.util.trace` export the event stream as
 JSONL or Chrome ``trace_event`` JSON.  On top of those raw signals,
 :mod:`repro.obs.health` classifies every connection ``OK`` /
 ``DEGRADED`` / ``STALLED`` / ``DEAD`` (credit starvation, retransmit

@@ -3,11 +3,10 @@
 The paper's Table 1 decomposes a 1-byte send into session-overhead
 stages (function entry, header attach, queueing, context switches) and
 data transfer.  :class:`OverheadProfiler` generalizes that methodology
-to the live runtime: the send path stamps ``time.perf_counter_ns`` at
-each stage boundary into an *instrument dict* (see
-:meth:`repro.core.connection.Connection.send`), the receive path stamps
-its own boundaries when a profiler is attached to the connection, and
-the profiler turns both stamp streams into per-stage statistics.
+to the live runtime as a *reader* of the X-ray's spans
+(:mod:`repro.obs.xray`, the only per-message stage record): the stage
+tables below are coarsenings of the X-ray's own, over the same stamps,
+and the profiler turns a run's spans into per-stage statistics.
 
 Because the stage deltas telescope (each stage's end is the next
 stage's start), the stage *means* sum exactly to the mean of the
@@ -17,6 +16,7 @@ measured total — the consistency check benches assert (within noise).
 from __future__ import annotations
 
 import statistics
+import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.util.stats import RunningStats
@@ -30,8 +30,8 @@ from repro.util.stats import RunningStats
 #: offline profiler and the live X-ray spans.
 TELESCOPE_TOLERANCE = 0.10
 
-#: Threaded-mode send stages (label, start stamp, end stamp); the stamp
-#: names match the keys written by the instrumented send path.
+#: Threaded-mode send stages (label, start stamp, end stamp) over the
+#: stamps of an X-ray send span.
 SEND_STAGES: List[Tuple[str, str, str]] = [
     ("queue a message request", "entry", "queued"),
     ("context switch to protocol thread", "queued", "dequeued"),
@@ -48,9 +48,9 @@ BYPASS_SEND_STAGES: List[Tuple[str, str, str]] = [
     ("data transfer (interface send)", "flow_released", "transmitted"),
 ]
 
-#: Receive-path stages: ``recv_entry``/``delivered`` stamped by
-#: ``Connection._on_frames`` around the core call, the three interior
-#: boundaries by ``ConnectionCore.on_frames`` through its ``stamp`` hook.
+#: Receive-path stages: the boundaries of the receive batch that
+#: completed a sampled message, copied into its X-ray receive span
+#: (``delivered``: its messages are handed to the receive queue).
 RECV_STAGES: List[Tuple[str, str, str]] = [
     ("header decode", "recv_entry", "decoded"),
     ("flow control (credit return)", "decoded", "fc_done"),
@@ -108,15 +108,18 @@ class OverheadProfiler:
         stages = SEND_STAGES if mode == "threaded" else BYPASS_SEND_STAGES
         self.send = _StageSet(stages, "entry", "transmitted")
         self.recv = _StageSet(RECV_STAGES, "recv_entry", "delivered")
+        #: Microseconds each timed ``NCS_send`` call took as its caller
+        #: saw it (Table 1's "NCS_send entry/exit").
+        self.caller_us: List[float] = []
 
     # -- recording -----------------------------------------------------------
 
     def record_send(self, stamps: Dict[str, int]) -> bool:
-        """Absorb one instrumented send's stamps; True if usable."""
+        """Absorb one send span's stamps; True if usable."""
         return self.send.record(stamps)
 
     def record_recv(self, stamps: Dict[str, int]) -> bool:
-        """Absorb one received frame's stamps (called by the runtime)."""
+        """Absorb one receive span's stamps; True if usable."""
         return self.recv.record(stamps)
 
     # -- results -------------------------------------------------------------
@@ -204,17 +207,24 @@ def profile_echo(
     thread_package: str = "kernel",
     payload: bytes = b"x",
 ) -> OverheadProfiler:
-    """Measure a one-way instrumented transfer between two live nodes.
+    """Measure a one-way transfer between two live nodes, every message
+    X-rayed.
 
-    Sets up the same unencumbered connection as the Table 1 bench (no
-    flow control, no error control — the stages under test are the
-    threading and queueing machinery) and returns the filled profiler,
-    including receive-side stages recorded at the consuming node.
+    Sets up the unencumbered connection of the Table 1 bench (no flow
+    control, no error control — the stages under test are the threading
+    and queueing machinery) and returns the profiler filled from the
+    sender's send spans and the consuming node's receive spans.
     """
     from repro.core import ConnectionConfig, Node, NodeConfig  # local: avoid cycle
+    from repro.obs.xray import XrayConfig
 
-    node_a = Node(NodeConfig(name="prof-a", thread_package=thread_package))
-    node_b = Node(NodeConfig(name="prof-b", thread_package=thread_package))
+    xray = XrayConfig(period=1, ring_capacity=max(1, iterations))
+    node_a = Node(
+        NodeConfig(name="prof-a", thread_package=thread_package, xray=xray)
+    )
+    node_b = Node(
+        NodeConfig(name="prof-b", thread_package=thread_package, xray=xray)
+    )
     profiler = OverheadProfiler(mode=mode)
     try:
         node_b.accept_mode = mode
@@ -229,13 +239,19 @@ def profile_echo(
             peer_name="prof-b",
         )
         peer = node_b.accept(timeout=5.0)
-        peer.profiler = profiler
         for _ in range(iterations):
-            stamps: Dict[str, int] = {}
-            conn.send(payload, instrument=stamps)
-            if peer.recv(timeout=5.0) is not None:
-                profiler.record_send(stamps)
+            started = time.perf_counter_ns()
+            conn.send(payload)
+            elapsed_ns = time.perf_counter_ns() - started
+            profiler.caller_us.append(elapsed_ns / 1000.0)
+            peer.recv(timeout=5.0)
     finally:
+        # Closing joins the Send Thread, so the last send span has
+        # landed before the ring is read.
         node_a.close()
         node_b.close()
+    for span in node_a.xray.spans("send"):
+        profiler.record_send(span["stamps"])
+    for span in node_b.xray.spans("recv"):
+        profiler.record_recv(span["stamps"])
     return profiler

@@ -34,6 +34,12 @@ increment per send — no allocation, no dict, no clock read.  When the
 subsystem is off (``NCS_XRAY`` unset) the cost is a single ``is None``
 branch.
 
+A span is the *only* per-message stage record.  Each connection's live
+spans sit in its :class:`SpanTable`, the one stage clock; the Table 1
+breakdown (:mod:`repro.obs.profiler`) is a coarser view of the same
+stamps, including the receive-batch boundaries (``recv_entry`` …
+``delivered``) copied into each receive span.
+
 Clock domains: stamps are ``perf_counter_ns`` readings, the same clock
 :class:`~repro.util.clock.MonotonicClock` wraps, so spans from two
 in-process nodes are directly comparable and spans from different
@@ -43,10 +49,13 @@ telemetry (see :func:`join_spans`).
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from time import perf_counter_ns
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.registry import LATENCY_BUCKETS, Histogram
@@ -176,6 +185,158 @@ def _stage_durations(
     return out
 
 
+#: Most inbound spans one table keeps open: orphans (e.g. the duplicate
+#: of an already-finished message) must not grow it forever.
+_REASSEMBLING_MAX = 1024
+
+
+class SpanTable:
+    """One connection's live spans and its only stage clock.
+
+    The connection driver calls in at the boundaries it owns and hands
+    :meth:`send_stamp` / :meth:`recv_stamp` to ``ConnectionCore`` as
+    ``stamp``; each boundary is one ``perf_counter_ns`` reading, and a
+    finished span goes to the node's :class:`XrayRecorder`.  (The
+    driver's locks serialize each half.)
+    """
+
+    def __init__(self, recorder: "XrayRecorder", conn_id: int, peer: str):
+        self._sampled = recorder.sampled
+        self._finish_send = partial(recorder.record_send, conn_id, peer)
+        self._finish_recv = partial(recorder.record_recv, conn_id, peer)
+        self._ids = itertools.count(1)
+        #: msg_id -> stamps of sampled sends not yet on the wire.  Falsy
+        #: when idle: the driver's "any live span?" test.
+        self.sends: dict = {}
+        #: msg_id -> stamps of sampled inbound messages mid-reassembly.
+        self._reassembling: dict = {}
+        #: One slot per delivery waiting in the receive queue, in queue
+        #: order (both are FIFO): its stamps, or None if unsampled.
+        #: (``id(message)`` as a key collides: CPython shares every
+        #: 1-byte ``bytes``.)
+        self._parked: deque = deque()
+        #: The receive batch in progress: its boundary stamps, and one
+        #: slot per SDU that has completed a message.
+        self._batch: dict = {}
+        self._slots: list = []
+
+    # -- sender half ---------------------------------------------------
+
+    def begin_send(self) -> Optional[dict]:
+        """NCS_send entry: the sampler's pick.  An unsampled message
+        costs one counter increment and one modulo — no allocation."""
+        if not self._sampled(next(self._ids)):
+            return None
+        return {"entry": perf_counter_ns()}
+
+    def track(self, span: dict, msg_id: int, trace_id: int, size: int) -> int:
+        """Keep a sampled send's span live until its last SDU leaves;
+        returns the ``span_id`` that marks its SDUs for the receiver."""
+        span["_trace"] = trace_id
+        span["_size"] = size
+        self.sends[msg_id] = span
+        return XRAY_SPAN_MARK | (msg_id & 0x7FFFFFFF)
+
+    def hop(self, name: str, event: tuple) -> None:
+        """Threaded plane: a sender event crosses a queue; a sampled
+        send request (its span is the event's last field) is stamped."""
+        if event[0] == "send" and event[-1] is not None:
+            event[-1][name] = perf_counter_ns()
+
+    def send_stamp(self, name: str, sdus=None, message=None, own=None) -> None:
+        """The sender half's ``stamp``: boundary ``name`` of the message
+        being submitted (``sdus`` None, ``own`` its span) or of each
+        live sampled send whose *last* SDU is among ``sdus`` — first
+        crossing only: a retransmit must not move a boundary, and finds
+        the span gone once ``transmitted`` has finished it."""
+        now_ns = perf_counter_ns()
+        if sdus is None:
+            if own is not None:
+                own[name] = now_ns
+            return
+        for sdu in sdus:
+            header = sdu.header
+            if header.span_id & XRAY_SPAN_MARK and header.end_bit:
+                span = self.sends.get(header.msg_id)
+                if span is not None:
+                    span.setdefault(name, now_ns)
+                    if (name == "transmitted"
+                            and self.sends.pop(header.msg_id, None) is span):
+                        self._finish_send(header.msg_id, span)
+
+    def drop_sends(self, msg_ids) -> None:
+        """Sends that died before reaching the wire never finish."""
+        for msg_id in msg_ids:
+            self.sends.pop(msg_id, None)
+
+    # -- receiver half -------------------------------------------------
+
+    def begin_batch(self):
+        """A batch of frames enters the receiver half (``recv_entry``);
+        returns the ``stamp`` to hand the core for it."""
+        self._batch = {"recv_entry": perf_counter_ns()}
+        return self.recv_stamp
+
+    def recv_stamp(self, name: str, sdus=(), message=None) -> None:
+        """The receiver half's ``stamp``: a span opens at a sampled
+        message's first SDU and, once ``reassembled``, waits for the
+        batch's deliveries to be queued."""
+        now_ns = perf_counter_ns()
+        if name == "reassembled":
+            span = self._reassembling.pop(sdus[0].header.msg_id, None)
+            if span is not None:
+                span["reassembled"] = now_ns
+            self._slots.append(span)
+            return
+        self._batch[name] = now_ns
+        if name == "decoded":
+            spans = self._reassembling
+            for sdu in sdus:
+                header = sdu.header
+                if header.span_id & XRAY_SPAN_MARK and header.msg_id not in spans:
+                    if len(spans) >= _REASSEMBLING_MAX:
+                        spans.pop(next(iter(spans)))
+                    spans[header.msg_id] = {
+                        "first_sdu": now_ns,
+                        "_trace": header.trace_id,
+                        "_msg": header.msg_id,
+                    }
+
+    def delivering(self, count: int) -> None:
+        """``count`` messages are about to enter the receive queue (the
+        batch's ``delivered`` boundary); the spans the batch completed
+        take its stamps and queue up beside their messages."""
+        slots = self._slots
+        if len(slots) == count:
+            self._batch["delivered"] = perf_counter_ns()
+            for span in slots:
+                if span is not None:
+                    span.update(self._batch)
+        else:
+            # Released by the timer, or held messages rode along behind
+            # a completing one: whose slot is whose is unknown, so the
+            # spans are dropped rather than given to a neighbour.
+            slots = [None] * count
+        self._parked.extend(slots)
+        self._slots = []
+
+    def taken(self, size: int, shed: bool = False) -> None:
+        """The oldest queued delivery left the queue: popped by NCS_recv,
+        or ``shed`` by overload protection, taking its span with it."""
+        # (Empty only once the connection closed and cleared the table.)
+        span = self._parked.popleft() if self._parked else None
+        if span is not None and not shed:
+            span["popped"] = perf_counter_ns()
+            span["_size"] = size
+            self._finish_recv(span)
+
+    def clear(self) -> None:
+        """The connection closed: nothing live will ever finish."""
+        self.sends.clear()
+        self._reassembling.clear()
+        self._parked.clear()
+
+
 class XrayRecorder:
     """Per-node home for sampled spans: histograms + a bounded ring.
 
@@ -199,14 +360,19 @@ class XrayRecorder:
         self._tracer = tracer
         self._lock = threading.Lock()
         self._spans: deque = deque(maxlen=config.ring_capacity)
-        #: conn_id -> send-latency histogram (entry -> transmitted).
-        self._send_hist: Dict[int, Histogram] = {}
-        #: conn_id -> receiver-side histogram (first_sdu -> popped).
-        self._recv_hist: Dict[int, Histogram] = {}
+        #: Per direction, conn_id -> latency histogram (send: entry ->
+        #: transmitted; recv: first_sdu -> popped).
+        self._conn_hist: Dict[str, Dict[int, Histogram]] = {
+            "send": {}, "recv": {},
+        }
         #: stage label -> duration histogram across all connections.
         self._stage_hist: Dict[str, Histogram] = {}
         self.sampled_sends = 0
         self.sampled_recvs = 0
+
+    def span_table(self, conn_id: int, peer: str) -> SpanTable:
+        """The live-span table for one of this node's connections."""
+        return SpanTable(self, conn_id, peer)
 
     # -- sampling ------------------------------------------------------
 
@@ -227,17 +393,30 @@ class XrayRecorder:
         self, conn_id: int, peer: str, msg_id: int, stamps: Dict[str, int]
     ) -> None:
         """Absorb one finished sender span (stamps plus ``_``-meta keys)."""
-        entry = stamps.get("entry")
-        transmitted = stamps.get("transmitted")
-        if entry is None or transmitted is None or transmitted < entry:
-            return
-        stages = _stage_durations(
-            stamps,
+        self._record(
+            "send", conn_id, peer, msg_id, stamps, "entry", "transmitted",
             XRAY_SEND_STAGES if "queued" in stamps else XRAY_BYPASS_SEND_STAGES,
         )
-        total_ns = transmitted - entry
+
+    def record_recv(
+        self, conn_id: int, peer: str, stamps: Dict[str, int]
+    ) -> None:
+        """Absorb one finished receiver span."""
+        self._record(
+            "recv", conn_id, peer, stamps.get("_msg", 0), stamps,
+            "first_sdu", "popped", XRAY_RECV_STAGES,
+        )
+
+    def _record(
+        self, kind, conn_id, peer, msg_id, stamps, first, last, stage_table
+    ) -> None:
+        begin = stamps.get(first)
+        end = stamps.get(last)
+        if begin is None or end is None or end < begin:
+            return
+        stages = _stage_durations(stamps, stage_table)
         span = {
-            "kind": "send",
+            "kind": kind,
             "node": self.node_name,
             "conn": conn_id,
             "peer": peer,
@@ -250,65 +429,22 @@ class XrayRecorder:
                 if not key.startswith("_")
             },
             "stages": stages,
-            "total_ns": total_ns,
+            "total_ns": end - begin,
         }
         with self._lock:
-            self.sampled_sends += 1
+            if kind == "send":
+                self.sampled_sends += 1
+            else:
+                self.sampled_recvs += 1
             self._spans.append(span)
             self._hist(
-                self._send_hist,
+                self._conn_hist[kind],
                 conn_id,
-                "ncs_xray_send_seconds",
+                f"ncs_xray_{kind}_seconds",
                 node=self.node_name,
                 conn=str(conn_id),
                 peer=peer,
-            ).observe(total_ns / 1e9)
-            for label, duration in stages.items():
-                self._hist(
-                    self._stage_hist,
-                    label,
-                    "ncs_xray_stage_seconds",
-                    node=self.node_name,
-                    stage=label,
-                ).observe(duration / 1e9)
-        self._emit(span)
-
-    def record_recv(
-        self, conn_id: int, peer: str, stamps: Dict[str, int]
-    ) -> None:
-        """Absorb one finished receiver span."""
-        first = stamps.get("first_sdu")
-        popped = stamps.get("popped")
-        if first is None or popped is None or popped < first:
-            return
-        stages = _stage_durations(stamps, XRAY_RECV_STAGES)
-        span = {
-            "kind": "recv",
-            "node": self.node_name,
-            "conn": conn_id,
-            "peer": peer,
-            "msg": stamps.get("_msg", 0),
-            "trace": stamps.get("_trace", 0),
-            "size": stamps.get("_size", 0),
-            "stamps": {
-                key: value
-                for key, value in stamps.items()
-                if not key.startswith("_")
-            },
-            "stages": stages,
-            "total_ns": popped - first,
-        }
-        with self._lock:
-            self.sampled_recvs += 1
-            self._spans.append(span)
-            self._hist(
-                self._recv_hist,
-                conn_id,
-                "ncs_xray_recv_seconds",
-                node=self.node_name,
-                conn=str(conn_id),
-                peer=peer,
-            ).observe((popped - first) / 1e9)
+            ).observe((end - begin) / 1e9)
             for label, duration in stages.items():
                 self._hist(
                     self._stage_hist,
@@ -354,24 +490,19 @@ class XrayRecorder:
         exposition render.
         """
         with self._lock:
-            send_hist = dict(self._send_hist)
-            recv_hist = dict(self._recv_hist)
+            conn_hist = {
+                kind: dict(table) for kind, table in self._conn_hist.items()
+            }
             stage_hist = dict(self._stage_hist)
             sampled_sends = self.sampled_sends
             sampled_recvs = self.sampled_recvs
         conns: Dict[str, dict] = {}
-        for conn_id, hist in send_hist.items():
-            entry = conns.setdefault(str(conn_id), {})
-            entry["send_count"] = hist.count
-            for q, key in ((0.5, "send_p50_s"), (0.95, "send_p95_s"),
-                           (0.99, "send_p99_s")):
-                entry[key] = round(hist.quantile(q), 9)
-        for conn_id, hist in recv_hist.items():
-            entry = conns.setdefault(str(conn_id), {})
-            entry["recv_count"] = hist.count
-            for q, key in ((0.5, "recv_p50_s"), (0.95, "recv_p95_s"),
-                           (0.99, "recv_p99_s")):
-                entry[key] = round(hist.quantile(q), 9)
+        for kind, table in conn_hist.items():
+            for conn_id, hist in table.items():
+                entry = conns.setdefault(str(conn_id), {})
+                entry[f"{kind}_count"] = hist.count
+                for q, name in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
+                    entry[f"{kind}_{name}_s"] = round(hist.quantile(q), 9)
         stages: Dict[str, dict] = {}
         for label, hist in stage_hist.items():
             summary = hist.summary()

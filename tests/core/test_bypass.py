@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core import ConnectionConfig, Node, NodeConfig, SendStatus
+from repro.obs.xray import XrayConfig
 
 
 @pytest.fixture
 def bypass_pair(node_factory):
-    def make(config_overrides=None):
-        client = node_factory("bp-client")
-        server = node_factory("bp-server")
+    def make(config_overrides=None, **node_kwargs):
+        client = node_factory("bp-client", **node_kwargs)
+        server = node_factory("bp-server", **node_kwargs)
         server.accept_mode = "bypass"
         config = ConnectionConfig(
             interface="sci", mode="bypass", **(config_overrides or {})
@@ -80,10 +81,11 @@ class TestBypassPath:
         assert handle.wait(timeout=5.0)
 
     def test_instrumentation_shows_fewer_stages(self, bypass_pair):
-        conn, peer = bypass_pair()
-        stamps = {}
-        conn.send(b"x", instrument=stamps)
+        conn, peer = bypass_pair(xray=XrayConfig(period=1))
+        conn.send(b"x")
         peer.recv(timeout=5.0)
+        (span,) = conn.node.xray.spans("send")
+        stamps = span["stamps"]
         # No protocol/send threads: no queued->dequeued hop.
         assert "dequeued" not in stamps
         assert "send_thread_dequeued" not in stamps

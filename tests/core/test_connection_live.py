@@ -11,6 +11,7 @@ from repro.core import (
     ConnectionConfig,
     SendStatus,
 )
+from repro.obs.xray import XrayConfig
 from repro.protocol.segmentation import segment_message
 
 pytestmark = pytest.mark.usefixtures("plane")
@@ -105,17 +106,21 @@ class TestRecvZeroTimeout:
 class TestInstrumentation:
     def test_stamps_recorded_in_order(self, connected_pair, plane):
         conn, peer = connected_pair(
-            ConnectionConfig(flow_control="none", error_control="none")
+            ConnectionConfig(flow_control="none", error_control="none"),
+            xray=XrayConfig(period=1),
         )
-        stamps = {}
-        conn.send(b"x", instrument=stamps)
+        conn.send(b"x")
         assert peer.recv(timeout=5.0) == b"x"
         # The peer can hold the message before the Send Thread executes
         # its post-transmit stamp line; give it a beat.
+        spans = []
         for _ in range(200):
-            if "transmitted" in stamps:
+            spans = conn.node.xray.spans("send")
+            if spans:
                 break
             time.sleep(0.002)
+        (span,) = spans
+        stamps = span["stamps"]
         if plane == "threaded":
             expected_order = [
                 "entry", "queued", "dequeued", "segmented",
@@ -124,7 +129,7 @@ class TestInstrumentation:
         else:
             # No protocol/send threads: no queue hops to stamp.
             expected_order = [
-                "entry", "segmented", "flow_released", "transmitted", "exit",
+                "entry", "segmented", "flow_released", "transmitted",
             ]
             assert "dequeued" not in stamps
             assert "send_thread_dequeued" not in stamps

@@ -90,3 +90,40 @@ def test_connection_reads_mode_only_where_the_driver_is_chosen():
                 if isinstance(node, ast.Attribute) and node.attr == "mode":
                     readers.add(func.name)
     assert readers == {"__init__"}
+
+
+def test_connection_keeps_no_stage_clock_span_table_or_instrument_hop():
+    """PR 19's deletion stays deleted: the X-ray span table
+    (``repro.obs.xray.SpanTable``) is the only stage clock and the only
+    per-message stage record; the driver only calls into it."""
+    import inspect
+
+    from repro.core.connection import Connection
+    from repro.core.primitives import NCS_send
+
+    tree = ast.parse((SRC / "core" / "connection.py").read_text())
+    banned = {"instrument", "instruments", "sinks"}
+    offending = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in ("perf_counter_ns", "perf_counter"):
+                offending.append(f"{node.lineno} clock read {node.attr}")
+            elif (isinstance(node.value, ast.Name) and node.value.id == "self"
+                  and (node.attr.endswith("_spans")
+                       or node.attr == "_xray_delivery")):
+                offending.append(f"{node.lineno} span table self.{node.attr}")
+        elif isinstance(node, ast.arg) and node.arg in banned:
+            offending.append(f"{node.lineno} parameter {node.arg}")
+        elif isinstance(node, ast.Name) and node.id in banned:
+            offending.append(f"{node.lineno} name {node.id}")
+    assert offending == []
+    assert list(inspect.signature(Connection.send).parameters) == [
+        "self", "payload", "wait", "timeout",
+    ]
+    assert list(inspect.signature(NCS_send).parameters) == [
+        "connection", "payload", "wait", "timeout",
+    ]
+    assert not hasattr(Connection, "profiler")
+    assert "profiler" not in {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }

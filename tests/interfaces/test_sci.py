@@ -159,6 +159,30 @@ class TestListener:
         result["iface"].close()
         listener.close()
 
+    def test_close_wakes_a_blocked_accept(self):
+        """close() must not leave an accept() waiting out its timeout
+        (every Node.close used to cost one 0.2 s accept poll)."""
+        listener = SciListener()
+        parked = threading.Event()
+        raised = []
+
+        def accept():
+            parked.set()
+            try:
+                listener.accept(timeout=5.0)
+            except InterfaceClosed as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=accept)
+        thread.start()
+        assert parked.wait(1.0)
+        thread.join(0.05)  # let it get from the event into the syscall
+        assert thread.is_alive()
+        listener.close()
+        thread.join(1.0)
+        assert not thread.is_alive()
+        assert len(raised) == 1
+
 
 class TestPartialWrite:
     """Regression tests for the partial-``send`` desync bug: a transmit

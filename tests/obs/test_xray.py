@@ -9,8 +9,11 @@ telemetry snapshot and the Prometheus exposition.
 """
 
 import json
+import sys
+import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -252,8 +255,7 @@ class TestDisabledPath:
             finally:
                 tracemalloc.stop()
             assert sum(stat.count for stat in snap.statistics("filename")) == 0
-            assert conn._xray_send_spans == {}
-            assert conn._xray_recv_spans == {}
+            assert conn.xray is None and peer.xray is None
         finally:
             node_a.close()
             node_b.close()
@@ -262,6 +264,127 @@ class TestDisabledPath:
         spans, sender, _ = xray_pair(period=1000, iterations=5)
         assert sender.sampled_sends == 0
         assert spans == []
+
+
+@pytest.fixture
+def queued_pair(node_factory):
+    """Every message sampled; the receiver's ``recv_queue`` fills with
+    ``count`` copies of ``payload`` before anything is taken."""
+
+    def build(payload, count=8):
+        cfg = XrayConfig(period=1)
+        sender = node_factory("qa", xray=cfg)
+        receiver = node_factory("qb", xray=cfg)
+        conn = sender.connect(
+            receiver.address, ConnectionConfig(interface="hpi"),
+            peer_name="qb",
+        )
+        peer = receiver.accept(timeout=5.0)
+        for _ in range(count):
+            conn.send(payload, wait=True, timeout=5.0)
+        assert peer.core.messages_received == count
+        return peer, receiver.xray
+
+    return build
+
+
+class TestParkedDeliveries:
+    """Receive spans wait in ``recv_queue`` order, not under
+    ``id(message)``: CPython hands out one object for every equal
+    1-byte ``bytes``, so queued ``b"x"`` deliveries used to share (and
+    overwrite) a single parked span."""
+
+    def test_queued_one_byte_messages_keep_their_own_spans(self, queued_pair):
+        peer, recorder = queued_pair(b"x")
+        for _ in range(8):
+            assert peer.recv(timeout=5.0) == b"x"
+        spans = recorder.spans("recv")
+        assert recorder.sampled_recvs == len(spans) == 8
+        assert [span["msg"] for span in spans] == list(range(1, 9))
+        reassembled = [span["stamps"]["reassembled"] for span in spans]
+        popped = [span["stamps"]["popped"] for span in spans]
+        assert reassembled == sorted(reassembled)
+        assert popped == sorted(popped)
+
+    def test_shed_delivery_takes_its_span_with_it(self, queued_pair):
+        peer, recorder = queued_pair(b"x")
+        assert peer.shed_oldest_delivery() == 1
+        for _ in range(7):
+            assert peer.recv(timeout=5.0) == b"x"
+        spans = recorder.spans("recv")
+        # Message 1 was evicted; every survivor kept its own span.
+        assert [span["msg"] for span in spans] == list(range(2, 9))
+        for span in spans:
+            assert sum(span["stages"].values()) == span["total_ns"]
+
+    def test_held_ride_along_drops_the_batch_spans(self):
+        """A completing SDU that also releases held messages makes the
+        batch's queue positions unknowable: its spans are dropped, never
+        attached to a neighbour."""
+        def sdu(msg_id):
+            return SimpleNamespace(header=SimpleNamespace(
+                span_id=XRAY_SPAN_MARK | msg_id, msg_id=msg_id,
+                trace_id=7, end_bit=True,
+            ))
+
+        recorder = XrayRecorder("n", XrayConfig(period=1))
+        table = recorder.span_table(1, "peer")
+        stamp = table.begin_batch()
+        stamp("decoded", [sdu(1), sdu(3)])
+        stamp("reassembled", (sdu(1),), b"x")  # releases held msg 2 too
+        stamp("reassembled", (sdu(3),), b"x")
+        table.delivering(3)
+        for _ in range(3):
+            table.taken(1)
+        assert recorder.spans() == []
+        # The next batch is back in step with the queue.
+        stamp = table.begin_batch()
+        stamp("decoded", [sdu(4)])
+        stamp("reassembled", (sdu(4),), b"x")
+        table.delivering(1)
+        table.taken(1)
+        (span,) = recorder.spans("recv")
+        assert span["msg"] == 4 and "delivered" in span["stamps"]
+
+    def test_concurrent_consumer_gets_every_span_once(self, node_factory):
+        """The Receive Thread queues spans beside deliveries while the
+        consumer takes them: every span recorded exactly once, with both
+        sides' stamps, however the interpreter interleaves the two."""
+        cfg = XrayConfig(period=1, ring_capacity=1024)
+        sender = node_factory("ra", xray=cfg)
+        receiver = node_factory("rb", xray=cfg)
+        conn = sender.connect(
+            receiver.address,
+            ConnectionConfig(interface="sci", flow_control="none",
+                             error_control="none"),
+            peer_name="rb",
+        )
+        peer = receiver.accept(timeout=5.0)
+        total = 400
+        got = []
+
+        def consume():
+            while len(got) < total:
+                message = peer.recv(timeout=5.0)
+                if message is None:
+                    return
+                got.append(message)
+
+        consumer = threading.Thread(target=consume)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            for _ in range(total):
+                conn.send(b"x")
+            consumer.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive() and len(got) == total
+        spans = receiver.xray.spans("recv")
+        assert [span["msg"] for span in spans] == list(range(1, total + 1))
+        for span in spans:
+            assert {"recv_entry", "delivered", "popped"} <= set(span["stamps"])
 
 
 class TestExportSurfaces:
